@@ -32,9 +32,10 @@ pub struct NocConfig {
     pub hop_mm: f64,
     /// Maximum hops traversable in one cycle, from the link model.
     pub hpc_max: usize,
-    /// Row-band shards the cycle engine runs on (1 = serial). Sharding
-    /// is an execution strategy, not a design point: results are
-    /// bit-identical for every value.
+    /// Row-band shards the cycle engine runs on (0 or 1 = one band,
+    /// stepped on the caller's thread; clamped to the fabric height and
+    /// to 255 at build time). Sharding is an execution strategy, not a
+    /// design point: results are bit-identical for every value.
     pub shards: usize,
 }
 
@@ -69,23 +70,13 @@ impl NocConfig {
     }
 
     /// This design point with the cycle engine split across `n`
-    /// row-band shards (clamped to the fabric height at build time).
-    /// Purely an execution strategy: results are bit-identical to the
-    /// serial engine.
+    /// row-band shards (clamped to the fabric height and to 255 at
+    /// build time). Purely an execution strategy: results are
+    /// bit-identical to the one-band engine.
     #[must_use]
     pub fn sharded(mut self, n: usize) -> Self {
         self.shards = n;
         self
-    }
-
-    /// The shard plan derived from this configuration.
-    #[must_use]
-    pub fn shard_plan(&self) -> smart_sim::ShardPlan {
-        if self.shards <= 1 {
-            smart_sim::ShardPlan::serial()
-        } else {
-            smart_sim::ShardPlan::banded(self.shards)
-        }
     }
 
     /// Same design point on a larger `k × k` mesh (for ablations).

@@ -10,7 +10,9 @@ use crate::preset::MeshPresets;
 use smart_sim::counters::ActivityCounters;
 use smart_sim::stats::SimStats;
 use smart_sim::traffic::TrafficSource;
-use smart_sim::{Engine, FlowId, FlowTable, Packet, SourceRoute, TelemetryConfig, TelemetrySeries};
+use smart_sim::{
+    FlowId, FlowTable, Network, Packet, SourceRoute, TelemetryConfig, TelemetrySeries,
+};
 
 /// Which of the paper's three designs (Section VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,7 +44,7 @@ impl DesignKind {
 #[derive(Debug)]
 pub struct SmartNoc {
     app: CompiledApp,
-    net: Engine,
+    net: Network,
 }
 
 impl SmartNoc {
@@ -59,7 +61,7 @@ impl SmartNoc {
     /// (the `smart-server` compiled-design cache's fast path).
     #[must_use]
     pub fn from_compiled(cfg: &NocConfig, app: CompiledApp) -> Self {
-        let net = Engine::new(cfg.sim_config(), app.flows.clone(), cfg.shard_plan());
+        let net = Network::new(cfg.sim_config(), app.flows.clone(), cfg.shards);
         SmartNoc { app, net }
     }
 
@@ -75,14 +77,14 @@ impl SmartNoc {
         &self.app.presets
     }
 
-    /// The underlying cycle-accurate engine (serial or sharded).
+    /// The underlying cycle-accurate engine.
     #[must_use]
-    pub fn network(&self) -> &Engine {
+    pub fn network(&self) -> &Network {
         &self.net
     }
 
     /// Mutable access to the underlying engine.
-    pub fn network_mut(&mut self) -> &mut Engine {
+    pub fn network_mut(&mut self) -> &mut Network {
         &mut self.net
     }
 }
@@ -90,7 +92,7 @@ impl SmartNoc {
 /// The baseline mesh for the same routed flows.
 #[derive(Debug)]
 pub struct MeshNoc {
-    net: Engine,
+    net: Network,
 }
 
 impl MeshNoc {
@@ -105,18 +107,18 @@ impl MeshNoc {
     #[must_use]
     pub fn from_table(cfg: &NocConfig, flows: FlowTable) -> Self {
         MeshNoc {
-            net: Engine::new(cfg.sim_config(), flows, cfg.shard_plan()),
+            net: Network::new(cfg.sim_config(), flows, cfg.shards),
         }
     }
 
-    /// The underlying cycle-accurate engine (serial or sharded).
+    /// The underlying cycle-accurate engine.
     #[must_use]
-    pub fn network(&self) -> &Engine {
+    pub fn network(&self) -> &Network {
         &self.net
     }
 
     /// Mutable access to the underlying engine.
-    pub fn network_mut(&mut self) -> &mut Engine {
+    pub fn network_mut(&mut self) -> &mut Network {
         &mut self.net
     }
 }

@@ -25,7 +25,7 @@
 //! let cfg = SimConfig::paper_4x4();
 //! let route = SourceRoute::xy(cfg.topology, NodeId(0), NodeId(3)).unwrap();
 //! let flows = FlowTable::mesh_baseline(cfg.topology, &[(FlowId(0), route)]);
-//! let mut net = Network::new(cfg, flows);
+//! let mut net = Network::new(cfg, flows, 1);
 //! net.offer(Packet {
 //!     id: PacketId(0),
 //!     flow: FlowId(0),
@@ -49,7 +49,7 @@ pub mod nic;
 pub mod patterns;
 pub mod route;
 pub mod router;
-pub mod shard;
+mod shard;
 pub mod stats;
 pub mod telemetry;
 pub mod topology;
@@ -65,12 +65,11 @@ pub use network::{Network, SimConfig};
 pub use patterns::Pattern;
 pub use route::{RouteError, SourceRoute};
 pub use router::{CreditRelease, Router, RouterBank, RouterDeparture};
-pub use shard::{Engine, ShardPlan, ShardedNetwork};
 pub use stats::SimStats;
 pub use telemetry::{
     CycleView, MetricsCollector, MetricsParseError, MetricsWindow, NoProbe, Probe, StallCause,
     TelemetryConfig, TelemetrySeries,
 };
 pub use topology::{Coord, Direction, LinkId, Mesh, NodeId, Topology, TopologyOps, Torus, Turn};
-pub use trace::{ReplayCounts, TraceError, TraceKind, TraceRecord, Tracer};
+pub use trace::{ReplayCounts, TraceKind, TraceRecord, Tracer};
 pub use traffic::{mbps_to_packet_rate, BernoulliTraffic, ScriptedTraffic, TrafficSource};

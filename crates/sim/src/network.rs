@@ -13,19 +13,24 @@
 //! flits may cross the same link in the same cycle** — if a preset
 //! compiler produced plans that violate single-cycle exclusivity, the
 //! engine panics rather than silently time-multiplexing the wire.
+//!
+//! A [`Network`] runs the fabric as one or more horizontal row bands
+//! (its shard count). The schedule above is stepped per band; one band
+//! steps inline on the caller's thread, several step on scoped threads
+//! and exchange cross-band events once per cycle. Every shard count
+//! gives bit-identical results.
 
 use crate::counters::ActivityCounters;
-use crate::flit::{Flit, Packet, PacketArena, VcId};
-use crate::forward::{Endpoint, FlowTable, LegLut, Sender};
-use crate::nic::{Nic, RxEvent};
-use crate::router::{CreditRelease, RouterBank, RouterDeparture};
+use crate::flit::Packet;
+use crate::forward::{FlowTable, Sender};
+use crate::nic::Nic;
+use crate::shard::{self, lock_free_of_poison, Fabric, Shard};
 use crate::stats::SimStats;
-use crate::telemetry::{
-    CycleView, MetricsCollector, NoProbe, Probe, TelemetryConfig, TelemetrySeries,
-};
+use crate::telemetry::{CycleView, MetricsCollector, TelemetryConfig, TelemetrySeries};
 use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
-use crate::trace::{TraceKind, TraceRecord, Tracer};
+use crate::trace::Tracer;
 use crate::traffic::TrafficSource;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Sizing parameters shared by all designs (Table II defaults via
 /// [`SimConfig::paper_4x4`]).
@@ -82,239 +87,143 @@ pub(crate) struct CreditPath {
     pub(crate) mm: f64,
 }
 
-/// The single-cycle link-exclusivity guard as a two-plane bitset: one
-/// bit per link (indexed `node * 5 + dir`), one plane per ST-cycle
-/// parity.
-///
-/// During `step(c)` launches stamp ST cycles `c` (NIC injections) and
-/// `c + 1` (router departures), so two cycles are in flight at once —
-/// each gets its own plane. A plane is reset lazily: the first mark for
-/// a new cycle clears only the words dirtied under the previous cycle
-/// of the same parity, so steady-state cost scales with links *used*,
-/// not links present.
-#[derive(Debug)]
-struct LinkGuard {
-    words: [Vec<u64>; 2],
-    /// The ST cycle each plane currently describes (`u64::MAX` = none).
-    plane_cycle: [u64; 2],
-    /// Indices of nonzero words per plane, for lazy clearing.
-    dirty: [Vec<u32>; 2],
-}
+/// Shard counts above this are clamped: the band-owner table stores
+/// band ids as bytes.
+const MAX_SHARDS: usize = u8::MAX as usize;
 
-impl LinkGuard {
-    fn new(n_links: usize) -> Self {
-        let words = n_links.div_ceil(64);
-        LinkGuard {
-            words: [vec![0; words], vec![0; words]],
-            plane_cycle: [u64::MAX, u64::MAX],
-            dirty: [Vec::new(), Vec::new()],
-        }
-    }
-
-    /// Claim link `li` for `st_cycle`; `false` means a second flit tried
-    /// to cross the same link in the same cycle.
-    fn try_mark(&mut self, li: usize, st_cycle: u64) -> bool {
-        let p = (st_cycle & 1) as usize;
-        if self.plane_cycle[p] != st_cycle {
-            for &w in &self.dirty[p] {
-                self.words[p][w as usize] = 0;
-            }
-            self.dirty[p].clear();
-            self.plane_cycle[p] = st_cycle;
-        }
-        let (w, bit) = (li / 64, 1u64 << (li % 64));
-        let word = &mut self.words[p][w];
-        if *word & bit != 0 {
-            return false;
-        }
-        if *word == 0 {
-            self.dirty[p].push(w as u32);
-        }
-        *word |= bit;
-        true
-    }
-}
-
-/// Everything in flight between routers: the arrival/credit event rings
-/// and the dense per-link occupancy arrays. Grouped so the launch path
-/// can borrow it independently of the route tables.
-#[derive(Debug)]
-struct Flight {
-    arrivals: Vec<Vec<(Endpoint, Flit)>>,
-    credit_ring: Vec<Vec<(Sender, VcId)>>,
-    /// Arrivals scheduled but not yet applied (quiescence check).
-    scheduled_arrivals: usize,
-    /// Single-cycle exclusivity bitset.
-    link_guard: LinkGuard,
-    /// Flits carried per link since the last counter reset, indexed
-    /// `node * 5 + dir`.
-    link_flits: Vec<u64>,
-}
-
-/// The simulated network: the router bank + NICs + in-flight events.
+/// The simulated network: routers, NICs and in-flight events, stepped as
+/// one or more row bands.
 #[derive(Debug)]
 pub struct Network {
     cfg: SimConfig,
-    flows: FlowTable,
-    /// Dense leg lookup compiled from `flows` at build time.
-    lut: LegLut,
-    bank: RouterBank,
-    nics: Vec<Nic>,
-    /// Metadata of every live packet; flits carry an arena slot instead
-    /// of the per-packet fields.
-    arena: PacketArena,
-    /// Credit reverse paths for stop endpoints, indexed
-    /// `router * 5 + in_dir`.
-    stop_credit: Vec<Option<CreditPath>>,
-    /// Credit reverse paths for NIC endpoints, indexed by node.
-    nic_credit: Vec<Option<CreditPath>>,
-    flight: Flight,
+    fabric: Fabric,
+    bands: Vec<Shard>,
     cycle: u64,
+    /// Counters, statistics and trace gathered from the bands after
+    /// every threaded session; `None` with one band, whose own state is
+    /// read directly.
+    merged: Option<Merged>,
+}
+
+/// The whole-fabric view of a multi-band engine.
+#[derive(Debug)]
+struct Merged {
     counters: ActivityCounters,
     stats: SimStats,
-    stats_from: u64,
-    enabled_ports: u64,
-    total_ports: u64,
     tracer: Option<Tracer>,
-    /// Windowed metrics collector; `None` selects the [`NoProbe`] step,
-    /// whose hooks the optimizer deletes (telemetry off is free).
-    telemetry: Option<Box<MetricsCollector>>,
-    /// NICs with a nonzero injection backlog, ascending — the only
-    /// NICs the per-cycle injection scan visits. Kept sorted so the
-    /// scan order (and therefore every downstream event order) matches
-    /// a full 0..n sweep exactly.
-    active_nics: Vec<u32>,
-    /// Membership mask for `active_nics`, indexed by node.
-    nic_active: Vec<bool>,
-    /// Per-cycle scratch, reused so the steady state allocates nothing.
-    arrival_scratch: Vec<(Endpoint, Flit)>,
-    credit_scratch: Vec<(Sender, VcId)>,
-    dep_scratch: Vec<RouterDeparture>,
-    rel_scratch: Vec<CreditRelease>,
+}
+
+/// What a session runs until.
+enum Goal {
+    /// Exactly this many cycles.
+    Fixed(u64),
+    /// Until quiescent, at most this many cycles.
+    Drain(u64),
 }
 
 impl Network {
-    /// Build a network for `flows` under `cfg`.
+    /// Build a network for `flows` under `cfg`, split into `shards` row
+    /// bands. The count is clamped to `1..=min(height, 255)`: every band
+    /// owns at least one row, and `0` means one band. One band steps
+    /// inline on the caller's thread; more bands step on scoped threads.
+    /// Results are bit-identical at every shard count.
     ///
     /// # Panics
     ///
     /// Panics if the configuration or the flow plans are inconsistent
     /// (see [`FlowTable::sender_endpoints`]).
     #[must_use]
-    pub fn new(cfg: SimConfig, flows: FlowTable) -> Self {
+    pub fn new(cfg: SimConfig, flows: FlowTable, shards: usize) -> Self {
         cfg.validate();
-        let n = cfg.topology.len();
-        let mut bank = RouterBank::new(n, cfg.vcs_per_port, cfg.vc_depth);
-        let nics: Vec<Nic> = cfg
-            .topology
-            .nodes()
-            .map(|id| Nic::new(id, cfg.vcs_per_port))
-            .collect();
-
-        // Preset-driven port enables + credit reverse-path tables. The
-        // sender/endpoint pairing invariant is checked up front.
-        let _ = flows.sender_endpoints();
-        let mut stop_credit = vec![None; n * PORTS];
-        let mut nic_credit = vec![None; n];
-        for plan in flows.iter() {
-            for leg in &plan.legs {
-                if let Sender::RouterOutput(r, d) = leg.sender {
-                    bank.enable_output(r.0 as usize, d);
-                }
-                for link in &leg.links {
-                    bank.enable_output(link.from.0 as usize, link.dir);
-                    let to = cfg
-                        .topology
-                        .neighbor(link.from, link.dir)
-                        .unwrap_or_else(|| panic!("{link} leaves the fabric"));
-                    bank.enable_input(to.0 as usize, link.dir.opposite());
-                }
-                let path = Some(CreditPath {
-                    sender: leg.sender,
-                    crossbars: leg.crossbars(),
-                    mm: leg.link_mm(),
-                });
-                match leg.end {
-                    Endpoint::Stop { router, in_dir } => {
-                        bank.enable_input(router.0 as usize, in_dir);
-                        stop_credit[router.0 as usize * PORTS + in_dir.index()] = path;
-                    }
-                    Endpoint::Nic { node } => nic_credit[node.0 as usize] = path,
-                }
-            }
-        }
-
-        let enabled_ports: u64 = (0..n).map(|r| bank.enabled_ports(r) as u64).sum();
-        let total_ports = (n * 10) as u64; // 5 in + 5 out per router
-        let lut = LegLut::new(&flows);
-
-        Network {
-            cfg,
-            flows,
-            lut,
-            bank,
-            nics,
-            arena: PacketArena::new(),
-            stop_credit,
-            nic_credit,
-            flight: Flight {
-                arrivals: vec![Vec::new(); RING],
-                credit_ring: vec![Vec::new(); RING],
-                scheduled_arrivals: 0,
-                link_guard: LinkGuard::new(n * PORTS),
-                link_flits: vec![0; n * PORTS],
-            },
-            cycle: 0,
+        let rows = usize::from(cfg.topology.height());
+        let k = shards.clamp(1, rows.min(MAX_SHARDS));
+        let (fabric, bands) = shard::partition(cfg, flows, k);
+        let merged = (k > 1).then(|| Merged {
             counters: ActivityCounters::new(),
             stats: SimStats::new(),
-            stats_from: 0,
-            enabled_ports,
-            total_ports,
             tracer: None,
-            telemetry: None,
-            active_nics: Vec::new(),
-            nic_active: vec![false; n],
-            arrival_scratch: Vec::new(),
-            credit_scratch: Vec::new(),
-            dep_scratch: Vec::new(),
-            rel_scratch: Vec::new(),
+        });
+        Network {
+            cfg,
+            fabric,
+            bands,
+            cycle: 0,
+            merged,
         }
     }
 
+    /// Number of row bands the engine runs.
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        self.bands.len()
+    }
+
     /// Record micro-architectural events (up to `capacity` of them) for
-    /// journey logs, VCD dumps and counter cross-validation.
+    /// journey logs, VCD dumps and counter cross-validation. Works at
+    /// every shard count: each band records its own events and a
+    /// multi-band engine collects them, band by band, after each
+    /// session. Past `capacity`, bands keep different subsets than a
+    /// one-band run would, but `records().len() + dropped()` is the same.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer = Some(Tracer::with_capacity(capacity));
+        for b in &mut self.bands {
+            b.tracer = Some(Tracer::with_capacity(capacity));
+        }
+        if let Some(m) = self.merged.as_mut() {
+            m.tracer = Some(Tracer::with_capacity(capacity));
+        }
     }
 
     /// The tracer, if tracing is enabled.
     #[must_use]
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+        match self.merged.as_ref() {
+            Some(m) => m.tracer.as_ref(),
+            None => self.bands[0].tracer.as_ref(),
+        }
     }
 
-    /// Start collecting windowed telemetry (see [`crate::telemetry`]).
-    /// Windows are measured from the current cycle; per-link deltas are
-    /// measured from the current cumulative counts. Replaces any
-    /// collector already attached.
+    /// Start collecting windowed telemetry (see [`crate::telemetry`]):
+    /// one full-fabric-sized collector per band, all windowed from the
+    /// current cycle and seeded with the current cumulative link counts.
+    /// Each probe event fires in exactly one band, so the merged series
+    /// is the same at every shard count. Replaces any collectors already
+    /// attached.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
         let n = self.cfg.topology.len();
-        let mut collector = Box::new(MetricsCollector::attach(cfg, n, n * PORTS, self.cycle));
-        collector.seed_links(&self.flight.link_flits);
-        self.telemetry = Some(collector);
+        for b in &mut self.bands {
+            let mut collector = Box::new(MetricsCollector::attach(cfg, n, n * PORTS, self.cycle));
+            collector.seed_links(&b.link_flits);
+            b.telemetry = Some(collector);
+        }
     }
 
-    /// Detach the telemetry collector, flushing the trailing partial
-    /// window. `None` if telemetry was never enabled.
+    /// Detach and merge the per-band collectors, flushing the trailing
+    /// partial window. `None` if telemetry was never enabled.
     pub fn take_telemetry(&mut self) -> Option<TelemetrySeries> {
-        let collector = self.telemetry.take()?;
-        Some(collector.finish(&CycleView {
-            cycle: self.cycle,
-            injected: self.counters.packets_injected,
-            delivered: self.counters.packets_delivered,
-            buffered: self.bank.total_buffered(),
-            link_flits: &self.flight.link_flits,
-        }))
+        let cycle = self.cycle;
+        let series: Vec<TelemetrySeries> = self
+            .bands
+            .iter_mut()
+            .filter_map(|b| {
+                let collector = b.telemetry.take()?;
+                Some(collector.finish(&CycleView {
+                    cycle,
+                    injected: b.counters.packets_injected,
+                    delivered: b.counters.packets_delivered,
+                    buffered: b.bank.total_buffered(),
+                    link_flits: &b.link_flits,
+                }))
+            })
+            .collect();
+        if series.is_empty() {
+            return None;
+        }
+        assert_eq!(
+            series.len(),
+            self.bands.len(),
+            "telemetry must be attached to every band or none"
+        );
+        Some(TelemetrySeries::merge(&series))
     }
 
     /// The configuration in use.
@@ -332,7 +241,7 @@ impl Network {
     /// The flow table in use.
     #[must_use]
     pub fn flows(&self) -> &FlowTable {
-        &self.flows
+        &self.fabric.flows
     }
 
     /// Current cycle (cycles fully processed).
@@ -344,340 +253,93 @@ impl Network {
     /// Activity counters accumulated since the last reset.
     #[must_use]
     pub fn counters(&self) -> &ActivityCounters {
-        &self.counters
+        match self.merged.as_ref() {
+            Some(m) => &m.counters,
+            None => &self.bands[0].counters,
+        }
     }
 
     /// Latency statistics.
     #[must_use]
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        match self.merged.as_ref() {
+            Some(m) => &m.stats,
+            None => &self.bands[0].stats,
+        }
     }
 
     /// Only packets *generated* at or after `cycle` contribute to
     /// latency statistics (warm-up exclusion).
     pub fn set_stats_from(&mut self, cycle: u64) {
-        self.stats_from = cycle;
+        for b in &mut self.bands {
+            b.stats_from = cycle;
+        }
     }
 
     /// Zero the activity counters (e.g. at the end of warm-up).
     pub fn reset_counters(&mut self) {
-        self.counters = ActivityCounters::new();
-        self.flight.link_flits.fill(0);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.seed_links(&self.flight.link_flits);
+        for b in &mut self.bands {
+            b.counters = ActivityCounters::new();
+            b.link_flits.fill(0);
+            if let Some(t) = b.telemetry.as_mut() {
+                t.seed_links(&b.link_flits);
+            }
         }
+        self.refresh_merged();
     }
 
     /// Flits carried per link since the last counter reset — the
-    /// utilization heatmap's raw data. A borrowing iterator over the
-    /// engine's dense per-link array (no per-call allocation); links
-    /// that carried nothing are skipped.
+    /// utilization heatmap's raw data. A borrowing iterator summing the
+    /// bands' dense per-link arrays (no per-call allocation); links that
+    /// carried nothing are skipped.
     pub fn link_flit_counts(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
-        self.flight
-            .link_flits
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
+        (0..self.cfg.topology.len() * PORTS)
+            .map(|i| (i, self.bands.iter().map(|b| b.link_flits[i]).sum()))
+            .filter(|&(_, n)| n > 0)
             .map(|(i, n)| {
-                (
-                    LinkId {
-                        from: NodeId((i / PORTS) as u16),
-                        dir: Direction::from_index(i % PORTS),
-                    },
-                    *n,
-                )
+                let from = NodeId((i / PORTS) as u16);
+                let dir = Direction::from_index(i % PORTS);
+                (LinkId { from, dir }, n)
             })
     }
 
     /// Queue a generated packet at its source NIC, interning its
-    /// metadata into the packet arena.
+    /// metadata into the owning band's packet arena.
     ///
     /// # Panics
     ///
     /// Panics if the packet's flow is unknown or its src/dst disagree
     /// with the flow's route.
     pub fn offer(&mut self, packet: Packet) {
-        let plan = self.flows.plan(packet.flow);
-        assert_eq!(packet.src, plan.route.source(), "packet src mismatch");
-        assert_eq!(
-            packet.dst,
-            plan.route.destination(self.cfg.topology),
-            "packet dst mismatch"
-        );
-        let src = packet.src.0 as usize;
-        let slot = self.arena.intern(&packet);
-        self.nics[src].offer(slot, self.arena.get(slot));
-        if !self.nic_active[src] {
-            self.nic_active[src] = true;
-            let pos = self
-                .active_nics
-                .binary_search(&(src as u32))
-                .expect_err("mask says absent");
-            self.active_nics.insert(pos, src as u32);
-        }
+        let b = self.fabric.owner_of(packet.src);
+        self.bands[b].offer(packet, &self.fabric);
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle. With several bands this is a one-cycle
+    /// threaded session; prefer [`Network::run_with`] or
+    /// [`Network::drain`], which amortize the thread spawn.
     pub fn step(&mut self) {
-        // Monomorphized probe dispatch: the collector is moved out for
-        // the duration of the step (a pointer move), selecting the
-        // telemetry instantiation; without one the `NoProbe` step runs —
-        // the exact pre-telemetry hot path after const folding.
-        if let Some(mut t) = self.telemetry.take() {
-            self.step_probed(&mut *t);
-            self.telemetry = Some(t);
-        } else {
-            self.step_probed(&mut NoProbe);
-        }
-    }
-
-    fn step_probed<P: Probe>(&mut self, probe: &mut P) {
-        let c = self.cycle;
-        let slot = (c % RING as u64) as usize;
-
-        // 1. Credits landing this cycle (swapped out through the scratch
-        // buffer so ring-slot capacity is reused, not reallocated).
-        let mut credits = std::mem::take(&mut self.credit_scratch);
-        std::mem::swap(&mut credits, &mut self.flight.credit_ring[slot]);
-        for (sender, vc) in credits.drain(..) {
-            match sender {
-                Sender::Nic(n) => self.nics[n.0 as usize].credit(vc),
-                Sender::RouterOutput(r, d) => self.bank.credit(r.0 as usize, d, vc),
-            }
-        }
-        self.credit_scratch = credits;
-
-        // 2. Flit arrivals (scheduled for end of cycle c-1).
-        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
-        std::mem::swap(&mut arrivals, &mut self.flight.arrivals[slot]);
-        self.flight.scheduled_arrivals -= arrivals.len();
-        for (end, flit) in arrivals.drain(..) {
-            match end {
-                Endpoint::Stop { router, in_dir } => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(TraceRecord {
-                            cycle: c.saturating_sub(1),
-                            flow: flit.flow,
-                            packet: self.arena.get(flit.pkt).id,
-                            kind: TraceKind::BufferWrite { router, in_dir },
-                        });
-                    }
-                    self.bank.receive(
-                        router.0 as usize,
-                        in_dir,
-                        flit,
-                        c.saturating_sub(1),
-                        &mut self.counters,
-                    );
-                }
-                Endpoint::Nic { node } => {
-                    let arrival_cycle = c - 1;
-                    let meta = *self.arena.get(flit.pkt);
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(TraceRecord {
-                            cycle: arrival_cycle,
-                            flow: flit.flow,
-                            packet: meta.id,
-                            kind: TraceKind::Deliver {
-                                node,
-                                head: flit.is_head(),
-                                tail: flit.is_tail(),
-                            },
-                        });
-                    }
-                    let events = self.nics[node.0 as usize].receive(
-                        flit,
-                        &meta,
-                        arrival_cycle,
-                        &mut self.counters,
-                    );
-                    if let Some(RxEvent::Head(flow, lat, srcq)) = events.head {
-                        if meta.gen_cycle >= self.stats_from {
-                            self.stats.record_head(flow, lat, srcq);
-                        }
-                    }
-                    if let Some(RxEvent::Tail(flow, lat, vc)) = events.tail {
-                        if meta.gen_cycle >= self.stats_from {
-                            self.stats.record_tail(flow, lat);
-                        }
-                        // Credit for the freed NIC reception VC.
-                        let path = self.nic_credit[node.0 as usize]
-                            .unwrap_or_else(|| panic!("no sender tracks endpoint {end:?}"));
-                        emit_credit(
-                            path,
-                            vc,
-                            c + 1,
-                            Sinks {
-                                flight: &mut self.flight,
-                                counters: &mut self.counters,
-                                tracer: &mut self.tracer,
-                            },
-                        );
-                        // Whole packet delivered: its metadata slot can
-                        // be recycled.
-                        self.arena.release(flit.pkt);
-                    }
-                }
-            }
-        }
-        self.arrival_scratch = arrivals;
-
-        // 3. NIC injection, scanning only the active set (NICs with a
-        // backlog). A NIC whose backlog empties retires from the set in
-        // place; the compaction preserves ascending order, so the event
-        // stream is bit-identical to a full 0..n sweep. Skipped idle
-        // NICs would have returned `None` without touching any state.
-        let mut kept = 0;
-        for k in 0..self.active_nics.len() {
-            let i = self.active_nics[k] as usize;
-            if let Some(flit) = self.nics[i].try_inject(&mut self.arena, c, &mut self.counters) {
-                let leg = self.lut.first_leg_idx(flit.flow);
-                debug_assert!(
-                    matches!(self.lut.rec(leg).sender, Sender::Nic(n) if n.0 as usize == i)
-                );
-                launch(
-                    &self.lut,
-                    &self.arena,
-                    leg,
-                    flit,
-                    c,
-                    Sinks {
-                        flight: &mut self.flight,
-                        counters: &mut self.counters,
-                        tracer: &mut self.tracer,
-                    },
-                    probe,
-                );
-            }
-            if self.nics[i].backlog() > 0 {
-                self.active_nics[kept] = self.active_nics[k];
-                kept += 1;
-            } else {
-                self.nic_active[i] = false;
-            }
-        }
-        self.active_nics.truncate(kept);
-
-        // 4. Switch allocation; ST happens during c + 1. Departures and
-        // credit releases land in reused scratch vectors, and routers
-        // with nothing buffered are skipped without touching their
-        // state.
-        // The allocation sweep touches only bank state; departures and
-        // credit releases batch across routers and replay afterwards in
-        // the same ascending-router order the per-router drains used, so
-        // each flight ring receives an identical push sequence.
-        let mut deps = std::mem::take(&mut self.dep_scratch);
-        let mut rels = std::mem::take(&mut self.rel_scratch);
-        deps.clear();
-        rels.clear();
-        for r in 0..self.bank.len() {
-            if self.bank.is_drained(r) {
-                continue;
-            }
-            let node = NodeId(r as u16);
-            let lut = &self.lut;
-            self.bank.allocate(
-                r,
-                c,
-                |flow| {
-                    let leg = lut.leg_idx_from(flow, node);
-                    (lut.rec(leg).out_dir, leg)
-                },
-                &mut self.counters,
-                &mut deps,
-                &mut rels,
-                probe,
-            );
-        }
-        for dep in deps.drain(..) {
-            let rec = self.lut.rec(dep.leg);
-            assert_eq!(
-                rec.out_dir, dep.out_dir,
-                "plan/grant mismatch on leg {}",
-                dep.leg
-            );
-            launch(
-                &self.lut,
-                &self.arena,
-                dep.leg,
-                dep.flit,
-                c + 1,
-                Sinks {
-                    flight: &mut self.flight,
-                    counters: &mut self.counters,
-                    tracer: &mut self.tracer,
-                },
-                probe,
-            );
-        }
-        for rel in rels.drain(..) {
-            // Tail departs the buffer during c+1; the credit crosses
-            // the reverse mesh during c+2 and is usable at c+3.
-            let r = usize::from(rel.router);
-            let path = self.stop_credit[r * PORTS + rel.in_dir.index()].unwrap_or_else(|| {
-                panic!(
-                    "no sender tracks endpoint {}/{}",
-                    NodeId(rel.router),
-                    rel.in_dir
-                )
-            });
-            emit_credit(
-                path,
-                rel.vc,
-                c + 3,
-                Sinks {
-                    flight: &mut self.flight,
-                    counters: &mut self.counters,
-                    tracer: &mut self.tracer,
-                },
-            );
-        }
-        self.dep_scratch = deps;
-        self.rel_scratch = rels;
-
-        // 5. Gating + cycle accounting.
-        self.counters.active_port_cycles += self.enabled_ports;
-        self.counters.gated_port_cycles += self.total_ports - self.enabled_ports;
-        self.counters.cycles += 1;
-        self.cycle += 1;
-        if P::ENABLED {
-            probe.on_cycle_end(&CycleView {
-                cycle: self.cycle,
-                injected: self.counters.packets_injected,
-                delivered: self.counters.packets_delivered,
-                buffered: self.bank.total_buffered(),
-                link_flits: &self.flight.link_flits,
-            });
-        }
+        self.run_session(None, Goal::Fixed(1));
     }
 
     /// Run `cycles` cycles, pulling packets from `traffic` each cycle.
+    /// Traffic generation stays on the caller's thread, so one RNG
+    /// stream is consumed in the same order at every shard count.
     pub fn run_with(&mut self, traffic: &mut dyn TrafficSource, cycles: u64) {
-        for _ in 0..cycles {
-            let pkts = traffic.generate(self.cycle);
-            for p in pkts {
-                self.offer(p);
-            }
-            self.step();
-        }
+        self.run_session(Some(traffic), Goal::Fixed(cycles));
     }
 
     /// `true` when no packet is queued, buffered, or in flight anywhere.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.bank.total_buffered() == 0
-            && self.flight.scheduled_arrivals == 0
-            && self.nics.iter().all(Nic::is_drained)
+        self.bands.iter().all(Shard::is_quiescent)
     }
 
     /// Step until quiescent, up to `max_cycles`. Returns `true` if the
     /// network drained (the precondition for reconfiguration, Section V).
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        for _ in 0..max_cycles {
-            if self.is_quiescent() {
-                return true;
-            }
-            self.step();
+        if !self.is_quiescent() {
+            self.run_session(None, Goal::Drain(max_cycles));
         }
         self.is_quiescent()
     }
@@ -685,104 +347,204 @@ impl Network {
     /// Injection backlog across all NICs.
     #[must_use]
     pub fn total_backlog(&self) -> usize {
-        self.nics.iter().map(Nic::backlog).sum()
+        self.bands
+            .iter()
+            .flat_map(|b| &b.nics)
+            .map(Nic::backlog)
+            .sum()
     }
-}
 
-/// The engine's mutable in-flight sinks — everything a launch or a
-/// credit emission writes into — split from `Network` so callers can
-/// keep borrowing the route tables a `leg` reference lives in.
-struct Sinks<'a> {
-    flight: &'a mut Flight,
-    counters: &'a mut ActivityCounters,
-    tracer: &'a mut Option<Tracer>,
-}
+    /// Run cycles until `goal`.
+    fn run_session(&mut self, traffic: Option<&mut dyn TrafficSource>, goal: Goal) {
+        if self.bands.len() == 1 {
+            self.run_inline(traffic, goal);
+        } else {
+            self.run_threaded(traffic, goal);
+            self.refresh_merged();
+        }
+    }
 
-/// Launch `flit` onto `leg`, with ST (and the whole link traversal)
-/// occurring during `st_cycle`.
-fn launch<P: Probe>(
-    lut: &LegLut,
-    arena: &PacketArena,
-    leg: u32,
-    flit: Flit,
-    st_cycle: u64,
-    s: Sinks<'_>,
-    probe: &mut P,
-) {
-    let Sinks {
-        flight,
-        counters,
-        tracer,
-    } = s;
-    let rec = *lut.rec(leg);
-    // Single-cycle link exclusivity (the preset invariant), enforced by
-    // the two-plane guard bitset over precomputed dense link indices.
-    for &li in lut.rec_links(&rec) {
-        let li = li as usize;
-        assert!(
-            flight.link_guard.try_mark(li, st_cycle),
-            "two flits on {} in cycle {st_cycle}: preset violation",
-            LinkId {
-                from: NodeId((li / PORTS) as u16),
-                dir: Direction::from_index(li % PORTS),
+    /// The one-band session: every cycle steps on the caller's thread.
+    fn run_inline(&mut self, mut traffic: Option<&mut dyn TrafficSource>, goal: Goal) {
+        let band = &mut self.bands[0];
+        let mut ran = 0;
+        loop {
+            let done = match goal {
+                Goal::Fixed(n) => ran == n,
+                Goal::Drain(max) => ran == max || band.is_quiescent(),
+            };
+            if done {
+                return;
             }
-        );
-        flight.link_flits[li] += 1;
+            if let Some(t) = traffic.as_deref_mut() {
+                for p in t.generate(self.cycle) {
+                    band.offer(p, &self.fabric);
+                }
+            }
+            band.step(self.cycle, &self.fabric);
+            band.release_links(self.cycle, &self.fabric);
+            self.cycle += 1;
+            ran += 1;
+        }
     }
-    counters.xbar_flit_traversals += u64::from(rec.crossbars);
-    counters.link_flit_mm += rec.mm;
-    if rec.cycles == 2 {
-        counters.pipeline_reg_writes += 1;
-    }
-    if P::ENABLED {
-        // Achieved bypass length: links this leg crosses in one cycle.
-        probe.on_launch(rec.n_links);
-    }
-    if let Some(t) = tracer.as_mut() {
-        let from = match rec.sender {
-            Sender::Nic(n) | Sender::RouterOutput(n, _) => n,
-        };
-        t.record(TraceRecord {
-            cycle: st_cycle,
-            flow: flit.flow,
-            packet: arena.get(flit.pkt).id,
-            kind: TraceKind::Launch {
-                from,
-                links: rec.n_links,
-                crossbars: rec.crossbars as u8,
-                mm: rec.mm,
-            },
+
+    /// The multi-band session: spawn one worker per band and run cycles
+    /// under three barriers each. Per cycle the coordinator fills the
+    /// offer boxes, then barrier **A** releases the workers to step;
+    /// barrier **B** (all outboxes complete) releases the boundary
+    /// exchange, applied in ascending source-band order, and the guard
+    /// release; each worker publishes its quiescence flag and barrier
+    /// **C** hands control back to the coordinator.
+    fn run_threaded(&mut self, mut traffic: Option<&mut dyn TrafficSource>, goal: Goal) {
+        let k = self.bands.len();
+        let start_cycle = self.cycle;
+        if matches!(goal, Goal::Fixed(0)) {
+            return;
+        }
+
+        let panicked = AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
+        let quiet: Vec<AtomicBool> = (0..k).map(|_| AtomicBool::new(false)).collect();
+        let barrier = CycleBarrier::new(k + 1, &panicked);
+        let mut ran: u64 = 0;
+        let mut all_quiet = false;
+
+        let fabric = &self.fabric;
+        std::thread::scope(|scope| {
+            for (i, band) in self.bands.iter_mut().enumerate() {
+                let (barrier, stop, quiet) = (&barrier, &stop, &quiet);
+                let sentinel_flag = &panicked;
+                scope.spawn(move || {
+                    let _sentinel = PanicSentinel(sentinel_flag);
+                    let mut c = start_cycle;
+                    loop {
+                        if !barrier.wait() || stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        let mut offers =
+                            std::mem::take(&mut *lock_free_of_poison(&fabric.offer_box[i]));
+                        for p in offers.drain(..) {
+                            band.offer(p, fabric);
+                        }
+                        *lock_free_of_poison(&fabric.offer_box[i]) = offers;
+                        band.step(c, fabric);
+                        if !barrier.wait() {
+                            return;
+                        }
+                        band.transfer_in(fabric);
+                        band.release_links(c, fabric);
+                        quiet[i].store(band.is_quiescent(), Ordering::SeqCst);
+                        if !barrier.wait() {
+                            return;
+                        }
+                        c += 1;
+                    }
+                });
+            }
+
+            // Coordinator.
+            let _sentinel = PanicSentinel(&panicked);
+            let mut c = start_cycle;
+            loop {
+                let should_stop = match goal {
+                    Goal::Fixed(n) => ran == n,
+                    Goal::Drain(max) => all_quiet || ran == max,
+                };
+                if should_stop {
+                    stop.store(true, Ordering::SeqCst);
+                } else if let Some(t) = traffic.as_deref_mut() {
+                    for p in t.generate(c) {
+                        let s = fabric.owner_of(p.src);
+                        lock_free_of_poison(&fabric.offer_box[s]).push(p);
+                    }
+                }
+                if !barrier.wait() || should_stop {
+                    break;
+                }
+                if !barrier.wait() || !barrier.wait() {
+                    break;
+                }
+                all_quiet = quiet.iter().all(|q| q.load(Ordering::SeqCst));
+                c += 1;
+                ran += 1;
+            }
         });
+
+        self.cycle = start_cycle + ran;
     }
-    let arrival = st_cycle + u64::from(rec.cycles) - 1;
-    let slot = ((arrival + 1) % RING as u64) as usize;
-    flight.arrivals[slot].push((rec.end, flit));
-    flight.scheduled_arrivals += 1;
+
+    /// Rebuild a multi-band engine's whole-fabric counters and
+    /// statistics from its bands, moving newly traced events into the
+    /// merged tracer in band order.
+    fn refresh_merged(&mut self) {
+        let Some(m) = self.merged.as_mut() else {
+            return;
+        };
+        m.counters = ActivityCounters::new();
+        m.stats = SimStats::new();
+        for b in &mut self.bands {
+            m.counters.merge(&b.counters);
+            m.stats.merge(&b.stats);
+            if let (Some(t), Some(bt)) = (m.tracer.as_mut(), b.tracer.as_mut()) {
+                t.absorb(bt);
+            }
+        }
+        // Bands advance in lockstep: the fabric's cycle count is the
+        // common count, not the k-fold sum.
+        m.counters.cycles = self.bands[0].counters.cycles;
+    }
 }
 
-/// Schedule the credit for a freed VC back along `path` to its sender,
-/// usable at `apply_cycle`.
-fn emit_credit(path: CreditPath, vc: VcId, apply_cycle: u64, s: Sinks<'_>) {
-    let Sinks {
-        flight,
-        counters,
-        tracer,
-    } = s;
-    counters.xbar_credit_traversals += u64::from(path.crossbars);
-    counters.link_credit_mm += path.mm;
-    if let Some(t) = tracer.as_mut() {
-        t.record(TraceRecord {
-            cycle: apply_cycle.saturating_sub(2),
-            flow: crate::flit::FlowId(u32::MAX),
-            packet: crate::flit::PacketId(u64::MAX),
-            kind: TraceKind::Credit {
-                crossbars: path.crossbars as u8,
-                mm: path.mm,
-            },
-        });
+/// A sense-reversing spin barrier with a shared panic flag: a worker
+/// that panics mid-cycle (e.g. a preset violation) never reaches the
+/// barrier, so waiters watch the flag instead of deadlocking. `wait`
+/// returns `false` when a peer panicked; callers bail out quietly and
+/// the scope join re-raises the original panic.
+struct CycleBarrier<'a> {
+    count: AtomicUsize,
+    generation: AtomicU64,
+    parties: usize,
+    panicked: &'a AtomicBool,
+}
+
+impl<'a> CycleBarrier<'a> {
+    fn new(parties: usize, panicked: &'a AtomicBool) -> Self {
+        CycleBarrier {
+            count: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            parties,
+            panicked,
+        }
     }
-    let slot = (apply_cycle % RING as u64) as usize;
-    flight.credit_ring[slot].push((path.sender, vc));
+
+    fn wait(&self) -> bool {
+        let gen = self.generation.load(Ordering::SeqCst);
+        if self.count.fetch_add(1, Ordering::SeqCst) + 1 == self.parties {
+            self.count.store(0, Ordering::SeqCst);
+            self.generation.store(gen + 1, Ordering::SeqCst);
+            !self.panicked.load(Ordering::SeqCst)
+        } else {
+            while self.generation.load(Ordering::SeqCst) == gen {
+                if self.panicked.load(Ordering::SeqCst) {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            !self.panicked.load(Ordering::SeqCst)
+        }
+    }
+}
+
+/// Sets the shared panic flag if its thread unwinds, so barrier waiters
+/// wake up instead of spinning forever.
+struct PanicSentinel<'a>(&'a AtomicBool);
+
+impl Drop for PanicSentinel<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -797,7 +559,7 @@ mod tests {
         let flow = FlowId(0);
         let route = SourceRoute::xy(cfg.topology, NodeId(src), NodeId(dst)).unwrap();
         let table = FlowTable::mesh_baseline(cfg.topology, &[(flow, route)]);
-        (Network::new(cfg, table), flow)
+        (Network::new(cfg, table, 1), flow)
     }
 
     fn packet(flow: FlowId, src: u16, dst: u16, gen: u64, n: u8) -> Packet {
@@ -909,6 +671,33 @@ mod tests {
         assert!((c.link_flit_mm - 16.0).abs() < 1e-9);
         // Credits: 3 VC frees (2 router stops + NIC), each crossing back.
         assert!(c.xbar_credit_traversals > 0);
+    }
+
+    #[test]
+    fn shard_count_clamps_to_height_and_byte_band_ids() {
+        let (cfg, flows) = {
+            let (net, _) = one_flow_net(0, 1);
+            (net.config(), net.flows().clone())
+        };
+        // 4×4: at most 4 bands; 0 and 1 both mean one band.
+        for (asked, got) in [(64, 4), (4, 4), (3, 3), (1, 1), (0, 1)] {
+            assert_eq!(Network::new(cfg, flows.clone(), asked).shards(), got);
+        }
+        // A 1×300 column has 300 rows, but band ids are bytes: 300
+        // shards clamp to 255, and the engine still runs.
+        let tall = SimConfig {
+            topology: crate::topology::Mesh::new(1, 300).into(),
+            ..cfg
+        };
+        let flow = FlowId(0);
+        let route = SourceRoute::xy(tall.topology, NodeId(0), NodeId(1)).unwrap();
+        let table = FlowTable::mesh_baseline(tall.topology, &[(flow, route)]);
+        let mut net = Network::new(tall, table, 300);
+        assert_eq!(net.shards(), 255);
+        net.offer(packet(flow, 0, 1, 0, 8));
+        assert!(net.drain(500));
+        assert_eq!(net.counters().packets_delivered, 1);
+        assert_eq!(net.stats().flow(flow).expect("delivered").packets, 1);
     }
 
     #[test]

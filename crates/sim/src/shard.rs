@@ -1,16 +1,17 @@
-//! The sharded cycle engine: one simulation, many threads, bit-identical
-//! results.
+//! Row bands: the state one engine worker owns, and the five-phase
+//! cycle step that advances it — the only cycle step in the crate.
 //!
-//! The serial [`Network`] processes every router and NIC on one core.
-//! This module partitions the fabric into horizontal **row bands**
-//! (shard `s` of `k` owns rows `[s·h/k, (s+1)·h/k)`), gives each band
-//! its own [`RouterBank`], NICs, packet arena and event rings, and runs
-//! the bands on scoped threads with a per-cycle barrier. Events whose
-//! endpoint lies in a foreign band — flit arrivals and credit returns —
-//! are exchanged through per-pair outboxes at the barrier, applied in
-//! ascending source-shard order.
+//! [`Network`](crate::network::Network) partitions the fabric into `k`
+//! horizontal **row bands** (band `s` owns rows `[s·h/k, (s+1)·h/k)`)
+//! and gives each band its own [`RouterBank`], NICs, packet arena, event
+//! rings, tracer and telemetry collector. With `k = 1` the one band is
+//! the whole fabric and steps inline on the caller's thread. With
+//! `k > 1` the bands step on scoped threads; events whose endpoint lies
+//! in a foreign band — flit arrivals and credit returns — go to per-pair
+//! outboxes and are applied, in ascending source-band order, before the
+//! next cycle.
 //!
-//! # Why the result is bit-identical to the serial engine
+//! # Why every band count gives the same result
 //!
 //! * **Cross-band events always apply at least one cycle later.** A NIC
 //!   injection launched in `step(c)` has `ST = c` and arrives no earlier
@@ -29,90 +30,39 @@
 //!   per-leg link counts times the configured hop pitch; at the paper's
 //!   integral 1 mm pitch these sums are exact in any order.)
 //! * **Link exclusivity is checked globally.** SMART legs may cross many
-//!   bands in one cycle, so the two-plane link guard becomes a pair of
-//!   shared atomic bitsets: the launching shard marks every link of the
-//!   leg with `fetch_or`, and a second mark of the same link in the same
-//!   `ST` cycle panics exactly like the serial engine. The coordinator
-//!   re-zeroes a plane only between cycles, when no worker is stepping.
+//!   bands in one cycle, so the link guard is a pair of shared bitsets
+//!   (one per `ST`-cycle parity). The launching band marks every link of
+//!   the leg, and a second mark of the same link in the same `ST` cycle
+//!   panics. Concurrent bands mark with an atomic `fetch_or`; a lone band
+//!   uses a plain load and store. Each band remembers the words it
+//!   dirtied and zeroes them once every band has finished the cycle they
+//!   describe, so the guard's per-cycle cost scales with links *used*.
 //!
 //! Packets crossing a band boundary are re-interned: the head flit
 //! carries its [`PacketMeta`] (including the injection timestamp) into
-//! the destination shard's arena, body flits find the slot through a
-//! per-shard `PacketId → slot` transfer map, and the tail both removes
-//! the map entry on entry and releases the source shard's slot on exit.
-//!
-//! [`Engine`] wraps either a serial [`Network`] or a [`ShardedNetwork`]
-//! behind the serial engine's exact API, so every existing driver
-//! (schedules, experiments, benches, tests) runs unchanged; a
-//! [`ShardPlan`] selects the implementation.
+//! the destination band's arena, body flits find the slot through a
+//! per-band `PacketId → slot` transfer map, and the tail both removes
+//! the map entry on entry and releases the source band's slot on exit.
 
 use crate::counters::ActivityCounters;
-use crate::flit::{Flit, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId};
+use crate::flit::{Flit, FlowId, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId};
 use crate::forward::{Endpoint, FlowTable, LegLut, Sender};
-use crate::network::{CreditPath, Network, SimConfig, RING};
+use crate::network::{CreditPath, SimConfig, RING};
 use crate::nic::{Nic, RxEvent};
 use crate::router::{CreditRelease, RouterBank, RouterDeparture};
 use crate::stats::SimStats;
-use crate::telemetry::{
-    CycleView, MetricsCollector, NoProbe, Probe, TelemetryConfig, TelemetrySeries,
-};
+use crate::telemetry::{CycleView, MetricsCollector, NoProbe, Probe};
 use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
-use crate::trace::{TraceError, Tracer};
-use crate::traffic::TrafficSource;
+use crate::trace::{TraceKind, TraceRecord, Tracer};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// How to split one simulation across threads.
-///
-/// The partition is a horizontal row-band decomposition, so mesh and
-/// torus fabrics are handled uniformly (a torus wrap link is just
-/// another link whose endpoint owner is looked up per node). `shards`
-/// is clamped to the fabric height — every band must own at least one
-/// row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Requested number of row-band shards (1 = serial engine).
-    pub shards: usize,
-}
-
-impl ShardPlan {
-    /// The serial engine: no threads, no barriers.
-    #[must_use]
-    pub fn serial() -> Self {
-        ShardPlan { shards: 1 }
-    }
-
-    /// `n` row bands on scoped threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn banded(n: usize) -> Self {
-        assert!(n > 0, "a shard plan needs at least one shard");
-        ShardPlan { shards: n }
-    }
-
-    /// The shard count actually used for `topo`: clamped to the fabric
-    /// height so every band owns at least one row.
-    #[must_use]
-    pub fn effective_shards(&self, topo: Topology) -> usize {
-        self.shards.clamp(1, topo.height() as usize)
-    }
-}
-
-impl Default for ShardPlan {
-    fn default() -> Self {
-        ShardPlan::serial()
-    }
-}
-
-/// An event crossing a shard boundary at the per-cycle exchange.
+/// An event crossing a band boundary at the per-cycle exchange.
 #[derive(Debug, Clone, Copy)]
-enum BoundaryEvent {
-    /// A flit arriving at an endpoint owned by the receiving shard.
-    /// `meta` is the full packet metadata from the sending shard's
+pub(crate) enum BoundaryEvent {
+    /// A flit arriving at an endpoint owned by the receiving band.
+    /// `meta` is the full packet metadata from the sending band's
     /// arena, re-interned (head) or matched (body/tail) on receipt;
     /// `arrival` is the cycle the flit lands at the endpoint.
     Arrival {
@@ -122,7 +72,7 @@ enum BoundaryEvent {
         arrival: u64,
     },
     /// A freed VC travelling back to a sender owned by the receiving
-    /// shard, usable at `apply`.
+    /// band, usable at `apply`.
     Credit {
         sender: Sender,
         vc: VcId,
@@ -130,93 +80,41 @@ enum BoundaryEvent {
     },
 }
 
-/// Read-only state shared by every worker during a session.
-struct SharedCtx<'a> {
-    lut: &'a LegLut,
-    flows: &'a FlowTable,
+/// What every band reads while it steps: the route tables, the band
+/// owner of each node, the shared link guard and the cross-band
+/// mailboxes. Workers share it by reference; the only writes go through
+/// atomics and mutexes.
+#[derive(Debug)]
+pub(crate) struct Fabric {
     topo: Topology,
-    /// Shard owner of each node.
-    owner: &'a [u8],
-    /// The two link-guard planes, indexed by `ST`-cycle parity.
-    planes: &'a [Vec<AtomicU64>; 2],
+    pub(crate) flows: FlowTable,
+    /// Dense leg lookup compiled from `flows` at build time.
+    lut: LegLut,
+    /// Band owner of each node.
+    owner: Vec<u8>,
+    /// Number of bands.
+    k: usize,
+    /// The link-exclusivity bitsets by `ST`-cycle parity, one bit per
+    /// link (indexed `node * 5 + dir`).
+    planes: [Vec<AtomicU64>; 2],
     /// `k × k` outboxes, `src * k + dst`; each cell is written by one
     /// worker and drained by one worker, never concurrently.
-    outbox: &'a [Mutex<Vec<BoundaryEvent>>],
-    /// Per-shard packets queued by the coordinator for the next cycle.
-    offer_box: &'a [Mutex<Vec<Packet>>],
-    k: usize,
+    outbox: Vec<Mutex<Vec<BoundaryEvent>>>,
+    /// Per-band packets queued by the coordinator for the next cycle.
+    pub(crate) offer_box: Vec<Mutex<Vec<Packet>>>,
 }
 
-/// A sense-reversing spin barrier with a shared panic flag: a worker
-/// that panics mid-cycle (e.g. a preset violation) never reaches the
-/// barrier, so waiters watch the flag instead of deadlocking. `wait`
-/// returns `false` when a peer panicked; callers bail out quietly and
-/// the scope join re-raises the original panic.
-struct CycleBarrier<'a> {
-    count: AtomicUsize,
-    generation: AtomicU64,
-    parties: usize,
-    panicked: &'a AtomicBool,
-}
-
-impl<'a> CycleBarrier<'a> {
-    fn new(parties: usize, panicked: &'a AtomicBool) -> Self {
-        CycleBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-            parties,
-            panicked,
-        }
-    }
-
-    fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::SeqCst);
-        if self.count.fetch_add(1, Ordering::SeqCst) + 1 == self.parties {
-            self.count.store(0, Ordering::SeqCst);
-            self.generation.store(gen + 1, Ordering::SeqCst);
-            !self.panicked.load(Ordering::SeqCst)
-        } else {
-            while self.generation.load(Ordering::SeqCst) == gen {
-                if self.panicked.load(Ordering::SeqCst) {
-                    return false;
-                }
-                std::thread::yield_now();
-            }
-            !self.panicked.load(Ordering::SeqCst)
-        }
-    }
-}
-
-/// Sets the shared panic flag if its thread unwinds, so barrier waiters
-/// wake up instead of spinning forever.
-struct PanicSentinel<'a>(&'a AtomicBool);
-
-impl Drop for PanicSentinel<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
-/// What a session runs until.
-enum Goal {
-    /// Exactly this many cycles.
-    Fixed(u64),
-    /// Until quiescent, at most this many cycles.
-    Drain(u64),
-}
-
-/// One row band: a region-sized copy of the serial engine's mutable
-/// state. Everything here is owned exclusively by one worker thread
-/// during a session.
+/// One row band: the engine's mutable state for a contiguous node range.
+/// Owned exclusively by one worker while it steps.
 #[derive(Debug)]
-struct Shard {
+pub(crate) struct Shard {
+    /// This band's index.
+    band: usize,
     /// First node of the band (bands are contiguous node ranges because
     /// rows are contiguous in node numbering).
     start: u16,
-    bank: RouterBank,
-    nics: Vec<Nic>,
+    pub(crate) bank: RouterBank,
+    pub(crate) nics: Vec<Nic>,
     arena: PacketArena,
     /// Packets currently traversing this band whose metadata arrived
     /// with a head flit from another band: stable id → local slot.
@@ -229,27 +127,171 @@ struct Shard {
     nic_credit: Vec<Option<CreditPath>>,
     arrivals: Vec<Vec<(Endpoint, Flit)>>,
     credit_ring: Vec<Vec<(Sender, VcId)>>,
+    /// Arrivals scheduled but not yet applied (quiescence check).
     scheduled_arrivals: usize,
-    /// Full-fabric link counts: a SMART leg launched here may cross
-    /// links in any band; per-shard arrays sum to the serial counts.
-    link_flits: Vec<u64>,
-    counters: ActivityCounters,
-    stats: SimStats,
-    stats_from: u64,
+    /// Guard words this band set, per plane, to zero after the cycle.
+    dirty: [Vec<u32>; 2],
+    /// Full-fabric link counts, indexed `node * 5 + dir`: a SMART leg
+    /// launched here may cross links in any band; per-band arrays sum to
+    /// the fabric's counts.
+    pub(crate) link_flits: Vec<u64>,
+    pub(crate) counters: ActivityCounters,
+    pub(crate) stats: SimStats,
+    pub(crate) stats_from: u64,
     enabled_ports: u64,
     total_ports: u64,
-    /// Backlogged NICs of this band by *global* node id, ascending.
+    /// Backlogged NICs of this band by *global* node id, ascending — the
+    /// only NICs the injection scan visits. Kept sorted so the scan order
+    /// (and every downstream event order) matches a full sweep exactly.
     active_nics: Vec<u32>,
     /// Membership mask for `active_nics`, by local node index.
     nic_active: Vec<bool>,
+    /// Per-cycle scratch, reused so the steady state allocates nothing.
     arrival_scratch: Vec<(Endpoint, Flit)>,
     credit_scratch: Vec<(Sender, VcId)>,
     dep_scratch: Vec<RouterDeparture>,
     rel_scratch: Vec<CreditRelease>,
-    /// Per-shard telemetry collector, sized for the *full* fabric
-    /// (probe events carry global router/link indices); the per-shard
-    /// series merge to the serial series bit-exactly.
-    telemetry: Option<Box<MetricsCollector>>,
+    pub(crate) tracer: Option<Tracer>,
+    /// Windowed metrics collector, sized for the *full* fabric (probe
+    /// events carry global router/link indices); `None` selects the
+    /// [`NoProbe`] step, whose hooks the optimizer deletes.
+    pub(crate) telemetry: Option<Box<MetricsCollector>>,
+}
+
+/// Split the fabric of `cfg` into `k` row bands for `flows`.
+///
+/// # Panics
+///
+/// Panics if `k` is zero, exceeds the fabric height or 255, or the flow
+/// plans are inconsistent (see [`FlowTable::sender_endpoints`]).
+pub(crate) fn partition(cfg: SimConfig, flows: FlowTable, k: usize) -> (Fabric, Vec<Shard>) {
+    let topo = cfg.topology;
+    let n = topo.len();
+    let (w, h) = (topo.width() as usize, topo.height() as usize);
+    assert!(
+        (1..=h.min(u8::MAX as usize)).contains(&k),
+        "{k} bands on {h} rows"
+    );
+
+    // Band s owns rows [s*h/k, (s+1)*h/k); rows are contiguous node
+    // ranges, so each band is the node range [row_lo*w, row_hi*w).
+    let band_start = |s: usize| s * h / k * w;
+    let mut owner = vec![0u8; n];
+    let mut bands: Vec<Shard> = (0..k)
+        .map(|s| {
+            let (start, end) = (band_start(s), band_start(s + 1));
+            owner[start..end].fill(s as u8);
+            let len = end - start;
+            let mut bank = RouterBank::new(len, cfg.vcs_per_port, cfg.vc_depth);
+            bank.set_base_node(NodeId(start as u16));
+            Shard {
+                band: s,
+                start: start as u16,
+                bank,
+                nics: (start..end)
+                    .map(|i| Nic::new(NodeId(i as u16), cfg.vcs_per_port))
+                    .collect(),
+                arena: PacketArena::new(),
+                xfer: HashMap::new(),
+                stop_credit: vec![None; len * PORTS],
+                nic_credit: vec![None; len],
+                arrivals: vec![Vec::new(); RING],
+                credit_ring: vec![Vec::new(); RING],
+                scheduled_arrivals: 0,
+                dirty: [Vec::new(), Vec::new()],
+                link_flits: vec![0; n * PORTS],
+                counters: ActivityCounters::new(),
+                stats: SimStats::new(),
+                stats_from: 0,
+                enabled_ports: 0,
+                total_ports: (len * 10) as u64, // 5 in + 5 out per router
+                active_nics: Vec::new(),
+                nic_active: vec![false; len],
+                arrival_scratch: Vec::new(),
+                credit_scratch: Vec::new(),
+                dep_scratch: Vec::new(),
+                rel_scratch: Vec::new(),
+                tracer: None,
+                telemetry: None,
+            }
+        })
+        .collect();
+
+    // Preset-driven port enables + credit reverse paths, dispatched to
+    // each touched node's owner. The sender/endpoint pairing invariant
+    // is checked up front.
+    let _ = flows.sender_endpoints();
+    fn at<'a>(bands: &'a mut [Shard], owner: &[u8], node: NodeId) -> (&'a mut Shard, usize) {
+        let sh = &mut bands[owner[node.0 as usize] as usize];
+        let l = sh.local(node);
+        (sh, l)
+    }
+    for plan in flows.iter() {
+        for leg in &plan.legs {
+            if let Sender::RouterOutput(r, d) = leg.sender {
+                let (sh, l) = at(&mut bands, &owner, r);
+                sh.bank.enable_output(l, d);
+            }
+            for link in &leg.links {
+                let (sh, l) = at(&mut bands, &owner, link.from);
+                sh.bank.enable_output(l, link.dir);
+                let to = topo
+                    .neighbor(link.from, link.dir)
+                    .unwrap_or_else(|| panic!("{link} leaves the fabric"));
+                let (sh, l) = at(&mut bands, &owner, to);
+                sh.bank.enable_input(l, link.dir.opposite());
+            }
+            let path = Some(CreditPath {
+                sender: leg.sender,
+                crossbars: leg.crossbars(),
+                mm: leg.link_mm(),
+            });
+            match leg.end {
+                Endpoint::Stop { router, in_dir } => {
+                    let (sh, l) = at(&mut bands, &owner, router);
+                    sh.bank.enable_input(l, in_dir);
+                    sh.stop_credit[l * PORTS + in_dir.index()] = path;
+                }
+                Endpoint::Nic { node } => {
+                    let (sh, l) = at(&mut bands, &owner, node);
+                    sh.nic_credit[l] = path;
+                }
+            }
+        }
+    }
+    for sh in &mut bands {
+        sh.enabled_ports = (0..sh.bank.len())
+            .map(|r| sh.bank.enabled_ports(r) as u64)
+            .sum();
+    }
+
+    let words = (n * PORTS).div_ceil(64);
+    let plane = || (0..words).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+    let fabric = Fabric {
+        topo,
+        lut: LegLut::new(&flows),
+        flows,
+        owner,
+        k,
+        planes: [plane(), plane()],
+        outbox: (0..k * k).map(|_| Mutex::new(Vec::new())).collect(),
+        offer_box: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
+    };
+    (fabric, bands)
+}
+
+impl Fabric {
+    /// The band that owns node `n`.
+    pub(crate) fn owner_of(&self, n: NodeId) -> usize {
+        self.owner[n.0 as usize] as usize
+    }
+
+    /// Queue `ev` in the outbox from band `src` to band `dest`. Kept out
+    /// of line: a one-band engine never calls it.
+    #[cold]
+    fn post(&self, src: usize, dest: usize, ev: BoundaryEvent) {
+        lock_free_of_poison(&self.outbox[src * self.k + dest]).push(ev);
+    }
 }
 
 impl Shard {
@@ -258,12 +300,19 @@ impl Shard {
         (n.0 - self.start) as usize
     }
 
-    fn offer_local(&mut self, packet: Packet, flows: &FlowTable, topo: Topology) {
-        let plan = flows.plan(packet.flow);
+    /// Queue a generated packet at its source NIC (which this band
+    /// owns), interning its metadata into the packet arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet's flow is unknown or its src/dst disagree
+    /// with the flow's route.
+    pub(crate) fn offer(&mut self, packet: Packet, fabric: &Fabric) {
+        let plan = fabric.flows.plan(packet.flow);
         assert_eq!(packet.src, plan.route.source(), "packet src mismatch");
         assert_eq!(
             packet.dst,
-            plan.route.destination(topo),
+            plan.route.destination(fabric.topo),
             "packet dst mismatch"
         );
         let l = self.local(packet.src);
@@ -280,23 +329,27 @@ impl Shard {
         }
     }
 
-    /// The serial engine's `step`, restricted to this band. Launches and
-    /// credits whose endpoint lies in a foreign band go to the outbox
-    /// instead of the local rings. The probe dispatch mirrors the serial
-    /// engine's: no collector selects the const-folded `NoProbe` step.
-    fn step(&mut self, c: u64, me: usize, ctx: &SharedCtx<'_>) {
+    /// Advance this band through cycle `c`. Launches and credits whose
+    /// endpoint lies in a foreign band go to the outbox instead of the
+    /// local rings.
+    pub(crate) fn step(&mut self, c: u64, fabric: &Fabric) {
+        // Monomorphized probe dispatch: the collector is moved out for
+        // the duration of the step (a pointer move), selecting the
+        // telemetry instantiation; without one the `NoProbe` step runs —
+        // the exact telemetry-free hot path after const folding.
         if let Some(mut t) = self.telemetry.take() {
-            self.step_probed(c, me, ctx, &mut *t);
+            self.step_probed(c, fabric, &mut *t);
             self.telemetry = Some(t);
         } else {
-            self.step_probed(c, me, ctx, &mut NoProbe);
+            self.step_probed(c, fabric, &mut NoProbe);
         }
     }
 
-    fn step_probed<P: Probe>(&mut self, c: u64, me: usize, ctx: &SharedCtx<'_>, probe: &mut P) {
+    fn step_probed<P: Probe>(&mut self, c: u64, fabric: &Fabric, probe: &mut P) {
         let slot = (c % RING as u64) as usize;
 
-        // 1. Credits landing this cycle.
+        // 1. Credits landing this cycle (swapped out through the scratch
+        // buffer so ring-slot capacity is reused, not reallocated).
         let mut credits = std::mem::take(&mut self.credit_scratch);
         std::mem::swap(&mut credits, &mut self.credit_ring[slot]);
         for (sender, vc) in credits.drain(..) {
@@ -320,12 +373,20 @@ impl Shard {
         for (end, flit) in arrivals.drain(..) {
             match end {
                 Endpoint::Stop { router, in_dir } => {
+                    let arrival_cycle = c.saturating_sub(1);
+                    self.trace(
+                        arrival_cycle,
+                        flit,
+                        TraceKind::BufferWrite { router, in_dir },
+                    );
                     let l = self.local(router);
                     self.bank
-                        .receive(l, in_dir, flit, c.saturating_sub(1), &mut self.counters);
+                        .receive(l, in_dir, flit, arrival_cycle, &mut self.counters);
                 }
                 Endpoint::Nic { node } => {
                     let arrival_cycle = c - 1;
+                    let (head, tail) = (flit.is_head(), flit.is_tail());
+                    self.trace(arrival_cycle, flit, TraceKind::Deliver { node, head, tail });
                     let meta = *self.arena.get(flit.pkt);
                     let l = self.local(node);
                     let events =
@@ -339,9 +400,12 @@ impl Shard {
                         if meta.gen_cycle >= self.stats_from {
                             self.stats.record_tail(flow, lat);
                         }
+                        // Credit for the freed NIC reception VC.
                         let path = self.nic_credit[l]
                             .unwrap_or_else(|| panic!("no sender tracks endpoint {end:?}"));
-                        self.emit_credit(path, vc, c + 1, me, ctx);
+                        self.emit_credit(path, vc, c + 1, fabric);
+                        // Whole packet delivered: its metadata slot can
+                        // be recycled.
                         self.arena.release(flit.pkt);
                     }
                 }
@@ -349,18 +413,21 @@ impl Shard {
         }
         self.arrival_scratch = arrivals;
 
-        // 3. NIC injection over the band's active set (global node ids,
-        // ascending — the serial sweep order restricted to this band).
+        // 3. NIC injection, scanning only the active set (NICs with a
+        // backlog). A NIC whose backlog empties retires from the set in
+        // place; the compaction preserves ascending order, so the event
+        // stream is bit-identical to a full sweep. Skipped idle NICs
+        // would have returned `None` without touching any state.
         let mut kept = 0;
         for k in 0..self.active_nics.len() {
             let g = self.active_nics[k] as usize;
             let l = g - self.start as usize;
             if let Some(flit) = self.nics[l].try_inject(&mut self.arena, c, &mut self.counters) {
-                let leg = ctx.lut.first_leg_idx(flit.flow);
+                let leg = fabric.lut.first_leg_idx(flit.flow);
                 debug_assert!(
-                    matches!(ctx.lut.rec(leg).sender, Sender::Nic(n) if n.0 as usize == g)
+                    matches!(fabric.lut.rec(leg).sender, Sender::Nic(n) if n.0 as usize == g)
                 );
-                self.launch(leg, flit, c, me, ctx, probe);
+                self.launch(leg, flit, c, fabric, probe);
             }
             if self.nics[l].backlog() > 0 {
                 self.active_nics[kept] = self.active_nics[k];
@@ -371,7 +438,11 @@ impl Shard {
         }
         self.active_nics.truncate(kept);
 
-        // 4. Switch allocation; ST happens during c + 1.
+        // 4. Switch allocation; ST happens during c + 1. The sweep
+        // touches only bank state and skips routers with nothing
+        // buffered; departures and credit releases batch across routers
+        // into reused scratch vectors and replay afterwards in ascending
+        // router order, so each ring receives a fixed push sequence.
         let mut deps = std::mem::take(&mut self.dep_scratch);
         let mut rels = std::mem::take(&mut self.rel_scratch);
         deps.clear();
@@ -381,7 +452,7 @@ impl Shard {
                 continue;
             }
             let node = NodeId(self.start + r as u16);
-            let lut = ctx.lut;
+            let lut = &fabric.lut;
             self.bank.allocate(
                 r,
                 c,
@@ -396,15 +467,17 @@ impl Shard {
             );
         }
         for dep in deps.drain(..) {
-            let rec = ctx.lut.rec(dep.leg);
+            let rec = fabric.lut.rec(dep.leg);
             assert_eq!(
                 rec.out_dir, dep.out_dir,
                 "plan/grant mismatch on leg {}",
                 dep.leg
             );
-            self.launch(dep.leg, dep.flit, c + 1, me, ctx, probe);
+            self.launch(dep.leg, dep.flit, c + 1, fabric, probe);
         }
         for rel in rels.drain(..) {
+            // Tail departs the buffer during c+1; the credit crosses
+            // the reverse mesh during c+2 and is usable at c+3.
             let r = usize::from(rel.router);
             let path = self.stop_credit[r * PORTS + rel.in_dir.index()].unwrap_or_else(|| {
                 panic!(
@@ -413,18 +486,18 @@ impl Shard {
                     rel.in_dir
                 )
             });
-            self.emit_credit(path, rel.vc, c + 3, me, ctx);
+            self.emit_credit(path, rel.vc, c + 3, fabric);
         }
         self.dep_scratch = deps;
         self.rel_scratch = rels;
 
         // 5. Gating + cycle accounting (band-local port counts; the
-        // per-shard sums reproduce the serial totals).
+        // per-band sums are the fabric totals).
         self.counters.active_port_cycles += self.enabled_ports;
         self.counters.gated_port_cycles += self.total_ports - self.enabled_ports;
         self.counters.cycles += 1;
         if P::ENABLED {
-            // Shards advance in lockstep, so every shard's windows close
+            // Bands advance in lockstep, so every band's windows close
             // at the same global cycles — the merge precondition.
             probe.on_cycle_end(&CycleView {
                 cycle: c + 1,
@@ -436,23 +509,49 @@ impl Shard {
         }
     }
 
-    /// The serial `launch`, with the link guard shared (atomic) and the
-    /// arrival routed to the endpoint's owner.
+    /// Record a flit event, if tracing is enabled.
+    fn trace(&mut self, cycle: u64, flit: Flit, kind: TraceKind) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(TraceRecord {
+                cycle,
+                flow: flit.flow,
+                packet: self.arena.get(flit.pkt).id,
+                kind,
+            });
+        }
+    }
+
+    /// Launch `flit` onto `leg`, with ST (and the whole link traversal)
+    /// occurring during `st_cycle`; the arrival goes to the endpoint's
+    /// owner band.
     fn launch<P: Probe>(
         &mut self,
         leg: u32,
         flit: Flit,
         st_cycle: u64,
-        me: usize,
-        ctx: &SharedCtx<'_>,
+        fabric: &Fabric,
         probe: &mut P,
     ) {
-        let rec = *ctx.lut.rec(leg);
+        let rec = *fabric.lut.rec(leg);
+        // Single-cycle link exclusivity (the preset invariant), enforced
+        // by the two-plane guard over precomputed dense link indices.
         let p = (st_cycle & 1) as usize;
-        for &li in ctx.lut.rec_links(&rec) {
+        for &li in fabric.lut.rec_links(&rec) {
             let li = li as usize;
             let (w, bit) = (li / 64, 1u64 << (li % 64));
-            let prev = ctx.planes[p][w].fetch_or(bit, Ordering::SeqCst);
+            let word = &fabric.planes[p][w];
+            // Relaxed suffices: within a cycle the read-modify-write
+            // alone decides which concurrent band claims a link, and the
+            // session's SeqCst barrier waits order every guard write
+            // before a barrier ahead of every access after it. A lone
+            // band has no concurrent writer, so it skips the locked RMW.
+            let prev = if fabric.k == 1 {
+                let prev = word.load(Ordering::Relaxed);
+                word.store(prev | bit, Ordering::Relaxed);
+                prev
+            } else {
+                word.fetch_or(bit, Ordering::Relaxed)
+            };
             assert!(
                 prev & bit == 0,
                 "two flits on {} in cycle {st_cycle}: preset violation",
@@ -461,6 +560,9 @@ impl Shard {
                     dir: Direction::from_index(li % PORTS),
                 }
             );
+            if prev == 0 {
+                self.dirty[p].push(w as u32);
+            }
             self.link_flits[li] += 1;
         }
         self.counters.xbar_flit_traversals += u64::from(rec.crossbars);
@@ -469,14 +571,27 @@ impl Shard {
             self.counters.pipeline_reg_writes += 1;
         }
         if P::ENABLED {
+            // Achieved bypass length: links this leg crosses in one cycle.
             probe.on_launch(rec.n_links);
         }
+        let from = match rec.sender {
+            Sender::Nic(n) | Sender::RouterOutput(n, _) => n,
+        };
+        self.trace(
+            st_cycle,
+            flit,
+            TraceKind::Launch {
+                from,
+                links: rec.n_links,
+                crossbars: rec.crossbars as u8,
+                mm: rec.mm,
+            },
+        );
         let arrival = st_cycle + u64::from(rec.cycles) - 1;
         let dest = match rec.end {
-            Endpoint::Stop { router, .. } => ctx.owner[router.0 as usize],
-            Endpoint::Nic { node } => ctx.owner[node.0 as usize],
-        } as usize;
-        if dest == me {
+            Endpoint::Stop { router: n, .. } | Endpoint::Nic { node: n } => fabric.owner_of(n),
+        };
+        if dest == self.band {
             let slot = ((arrival + 1) % RING as u64) as usize;
             self.arrivals[slot].push((rec.end, flit));
             self.scheduled_arrivals += 1;
@@ -487,914 +602,122 @@ impl Shard {
                 // every earlier flit of this packet has already left.
                 self.arena.release(flit.pkt);
             }
-            lock_free_of_poison(&ctx.outbox[me * ctx.k + dest]).push(BoundaryEvent::Arrival {
+            let ev = BoundaryEvent::Arrival {
                 end: rec.end,
                 flit,
                 meta,
                 arrival,
-            });
+            };
+            fabric.post(self.band, dest, ev);
         }
     }
 
-    /// The serial `emit_credit`, routed to the sender's owner.
-    fn emit_credit(
-        &mut self,
-        path: CreditPath,
-        vc: VcId,
-        apply: u64,
-        me: usize,
-        ctx: &SharedCtx<'_>,
-    ) {
+    /// Schedule the credit for a freed VC back along `path` to its
+    /// sender's owner band, usable at `apply`.
+    fn emit_credit(&mut self, path: CreditPath, vc: VcId, apply: u64, fabric: &Fabric) {
         self.counters.xbar_credit_traversals += u64::from(path.crossbars);
         self.counters.link_credit_mm += path.mm;
-        let n = match path.sender {
-            Sender::Nic(n) | Sender::RouterOutput(n, _) => n,
-        };
-        let dest = ctx.owner[n.0 as usize] as usize;
-        if dest == me {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(TraceRecord {
+                cycle: apply.saturating_sub(2),
+                flow: FlowId(u32::MAX),
+                packet: PacketId(u64::MAX),
+                kind: TraceKind::Credit {
+                    crossbars: path.crossbars as u8,
+                    mm: path.mm,
+                },
+            });
+        }
+        let (Sender::Nic(n) | Sender::RouterOutput(n, _)) = path.sender;
+        let dest = fabric.owner_of(n);
+        if dest == self.band {
             let slot = (apply % RING as u64) as usize;
             self.credit_ring[slot].push((path.sender, vc));
         } else {
-            lock_free_of_poison(&ctx.outbox[me * ctx.k + dest]).push(BoundaryEvent::Credit {
+            let ev = BoundaryEvent::Credit {
                 sender: path.sender,
                 vc,
                 apply,
-            });
+            };
+            fabric.post(self.band, dest, ev);
         }
     }
 
-    /// Apply one source shard's boundary events. Heads re-intern their
+    /// Zero the guard words this band set for `ST` cycle `c`. Run after
+    /// every band has finished cycle `c` and before any starts `c + 1`,
+    /// whose launches reuse the plane for cycle `c + 2`.
+    pub(crate) fn release_links(&mut self, c: u64, fabric: &Fabric) {
+        let p = (c & 1) as usize;
+        for w in self.dirty[p].drain(..) {
+            fabric.planes[p][w as usize].store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Apply the boundary events every band sent this band during the
+    /// cycle, in ascending source-band order. Heads re-intern their
     /// metadata (preserving the injection timestamp), bodies and tails
     /// resolve the local slot through the transfer map.
-    fn transfer_in(&mut self, events: &mut Vec<BoundaryEvent>) {
-        for ev in events.drain(..) {
-            match ev {
-                BoundaryEvent::Credit { sender, vc, apply } => {
-                    let slot = (apply % RING as u64) as usize;
-                    self.credit_ring[slot].push((sender, vc));
-                }
-                BoundaryEvent::Arrival {
-                    end,
-                    mut flit,
-                    meta,
-                    arrival,
-                } => {
-                    let pkt = if flit.is_head() {
-                        let slot = self.arena.intern_meta(meta);
-                        if !flit.is_tail() {
-                            let prev = self.xfer.insert(meta.id, slot);
-                            debug_assert!(
-                                prev.is_none(),
-                                "packet {:?} re-entered a band mid-flight",
-                                meta.id
-                            );
-                        }
-                        slot
-                    } else if flit.is_tail() {
-                        self.xfer.remove(&meta.id).unwrap_or_else(|| {
-                            panic!("tail of {:?} crossed a band without its head", meta.id)
-                        })
-                    } else {
-                        *self.xfer.get(&meta.id).unwrap_or_else(|| {
-                            panic!("body of {:?} crossed a band without its head", meta.id)
-                        })
-                    };
-                    flit.pkt = pkt;
-                    let slot = ((arrival + 1) % RING as u64) as usize;
-                    self.arrivals[slot].push((end, flit));
-                    self.scheduled_arrivals += 1;
-                }
+    pub(crate) fn transfer_in(&mut self, fabric: &Fabric) {
+        for src in 0..fabric.k {
+            let cell = &fabric.outbox[src * fabric.k + self.band];
+            let mut events = std::mem::take(&mut *lock_free_of_poison(cell));
+            for ev in events.drain(..) {
+                self.accept(ev);
+            }
+            *lock_free_of_poison(cell) = events;
+        }
+    }
+
+    fn accept(&mut self, ev: BoundaryEvent) {
+        match ev {
+            BoundaryEvent::Credit { sender, vc, apply } => {
+                let slot = (apply % RING as u64) as usize;
+                self.credit_ring[slot].push((sender, vc));
+            }
+            BoundaryEvent::Arrival {
+                end,
+                mut flit,
+                meta,
+                arrival,
+            } => {
+                flit.pkt = if flit.is_head() {
+                    let slot = self.arena.intern_meta(meta);
+                    if !flit.is_tail() {
+                        let prev = self.xfer.insert(meta.id, slot);
+                        debug_assert!(
+                            prev.is_none(),
+                            "packet {:?} re-entered a band mid-flight",
+                            meta.id
+                        );
+                    }
+                    slot
+                } else if flit.is_tail() {
+                    self.xfer.remove(&meta.id).unwrap_or_else(|| {
+                        panic!("tail of {:?} crossed a band without its head", meta.id)
+                    })
+                } else {
+                    *self.xfer.get(&meta.id).unwrap_or_else(|| {
+                        panic!("body of {:?} crossed a band without its head", meta.id)
+                    })
+                };
+                let slot = ((arrival + 1) % RING as u64) as usize;
+                self.arrivals[slot].push((end, flit));
+                self.scheduled_arrivals += 1;
             }
         }
     }
 
-    fn is_quiescent(&self) -> bool {
+    /// `true` when nothing is queued, buffered, or in flight to this band.
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.bank.total_buffered() == 0
             && self.scheduled_arrivals == 0
             && self.nics.iter().all(Nic::is_drained)
     }
 }
 
-/// Lock a mutex, ignoring poisoning: a poisoned outbox only ever means
-/// a peer worker panicked mid-cycle, and the panic sentinel already
-/// guarantees the session unwinds with the original panic.
-fn lock_free_of_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Lock a mutex, ignoring poisoning: a poisoned mailbox only ever means
+/// a peer worker panicked mid-cycle, and the session then unwinds with
+/// the original panic.
+pub(crate) fn lock_free_of_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The sharded engine: row-band shards coupled by a per-cycle
-/// boundary exchange, producing bit-identical results to [`Network`].
-///
-/// Build one through [`Engine::new`] with a [`ShardPlan`] of two or
-/// more shards.
-#[derive(Debug)]
-pub struct ShardedNetwork {
-    cfg: SimConfig,
-    flows: FlowTable,
-    lut: LegLut,
-    /// Shard owner per node.
-    owner: Vec<u8>,
-    shards: Vec<Shard>,
-    /// Shared link-exclusivity planes by `ST`-cycle parity.
-    planes: [Vec<AtomicU64>; 2],
-    /// The `ST` cycle each plane currently describes (`u64::MAX` =
-    /// none); maintained by the coordinator between cycles.
-    plane_cycle: [u64; 2],
-    outbox: Vec<Mutex<Vec<BoundaryEvent>>>,
-    offer_box: Vec<Mutex<Vec<Packet>>>,
-    cycle: u64,
-    /// Merged read models, refreshed after every mutating call so the
-    /// borrowing accessors (`counters()`, `stats()`) stay cheap.
-    merged_counters: ActivityCounters,
-    merged_stats: SimStats,
-    merged_links: Vec<u64>,
-}
-
-impl ShardedNetwork {
-    /// Build `k ≥ 2` row-band shards for `flows` under `cfg`. Prefer
-    /// [`Engine::new`], which falls back to the serial engine for
-    /// single-shard plans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2`, `k` exceeds the fabric height, or the
-    /// configuration/flow plans are inconsistent.
-    #[must_use]
-    pub fn new(cfg: SimConfig, flows: FlowTable, k: usize) -> Self {
-        cfg.validate();
-        let topo = cfg.topology;
-        let n = topo.len();
-        let (w, h) = (topo.width() as usize, topo.height() as usize);
-        assert!(k >= 2, "use the serial engine for a single shard");
-        assert!(k <= h, "{k} shards need at least {k} rows (fabric has {h})");
-        assert!(k <= u8::MAX as usize, "owner table stores shard ids as u8");
-
-        // Band s owns rows [s*h/k, (s+1)*h/k); rows are contiguous node
-        // ranges, so each band is the node range [row_lo*w, row_hi*w).
-        let band_start = |s: usize| s * h / k * w;
-        let mut owner = vec![0u8; n];
-        for (s, o) in (0..k).flat_map(|s| (band_start(s)..band_start(s + 1)).map(move |i| (s, i))) {
-            owner[o] = s as u8;
-        }
-
-        let _ = flows.sender_endpoints();
-        let mut shards: Vec<Shard> = (0..k)
-            .map(|s| {
-                let start = band_start(s);
-                let len = band_start(s + 1) - start;
-                let mut bank = RouterBank::new(len, cfg.vcs_per_port, cfg.vc_depth);
-                bank.set_base_node(NodeId(start as u16));
-                Shard {
-                    start: start as u16,
-                    bank,
-                    nics: (start..start + len)
-                        .map(|i| Nic::new(NodeId(i as u16), cfg.vcs_per_port))
-                        .collect(),
-                    arena: PacketArena::new(),
-                    xfer: HashMap::new(),
-                    stop_credit: vec![None; len * PORTS],
-                    nic_credit: vec![None; len],
-                    arrivals: vec![Vec::new(); RING],
-                    credit_ring: vec![Vec::new(); RING],
-                    scheduled_arrivals: 0,
-                    link_flits: vec![0; n * PORTS],
-                    counters: ActivityCounters::new(),
-                    stats: SimStats::new(),
-                    stats_from: 0,
-                    enabled_ports: 0,
-                    total_ports: (len * 10) as u64,
-                    active_nics: Vec::new(),
-                    nic_active: vec![false; len],
-                    arrival_scratch: Vec::new(),
-                    credit_scratch: Vec::new(),
-                    dep_scratch: Vec::new(),
-                    rel_scratch: Vec::new(),
-                    telemetry: None,
-                }
-            })
-            .collect();
-
-        // Preset-driven port enables + credit reverse paths, dispatched
-        // to each touched node's owner — the serial construction split
-        // along band lines.
-        for plan in flows.iter() {
-            for leg in &plan.legs {
-                if let Sender::RouterOutput(r, d) = leg.sender {
-                    let sh = &mut shards[owner[r.0 as usize] as usize];
-                    let l = sh.local(r);
-                    sh.bank.enable_output(l, d);
-                }
-                for link in &leg.links {
-                    let sh = &mut shards[owner[link.from.0 as usize] as usize];
-                    let l = sh.local(link.from);
-                    sh.bank.enable_output(l, link.dir);
-                    let to = topo
-                        .neighbor(link.from, link.dir)
-                        .unwrap_or_else(|| panic!("{link} leaves the fabric"));
-                    let sh = &mut shards[owner[to.0 as usize] as usize];
-                    let l = sh.local(to);
-                    sh.bank.enable_input(l, link.dir.opposite());
-                }
-                let path = Some(CreditPath {
-                    sender: leg.sender,
-                    crossbars: leg.crossbars(),
-                    mm: leg.link_mm(),
-                });
-                match leg.end {
-                    Endpoint::Stop { router, in_dir } => {
-                        let sh = &mut shards[owner[router.0 as usize] as usize];
-                        let l = sh.local(router);
-                        sh.bank.enable_input(l, in_dir);
-                        sh.stop_credit[l * PORTS + in_dir.index()] = path;
-                    }
-                    Endpoint::Nic { node } => {
-                        let sh = &mut shards[owner[node.0 as usize] as usize];
-                        let l = sh.local(node);
-                        sh.nic_credit[l] = path;
-                    }
-                }
-            }
-        }
-        for sh in &mut shards {
-            sh.enabled_ports = (0..sh.bank.len())
-                .map(|r| sh.bank.enabled_ports(r) as u64)
-                .sum();
-        }
-
-        let words = (n * PORTS).div_ceil(64);
-        let plane = || (0..words).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let lut = LegLut::new(&flows);
-        let mut net = ShardedNetwork {
-            cfg,
-            flows,
-            lut,
-            owner,
-            shards,
-            planes: [plane(), plane()],
-            plane_cycle: [u64::MAX, u64::MAX],
-            outbox: (0..k * k).map(|_| Mutex::new(Vec::new())).collect(),
-            offer_box: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
-            cycle: 0,
-            merged_counters: ActivityCounters::new(),
-            merged_stats: SimStats::new(),
-            merged_links: vec![0; n * PORTS],
-        };
-        net.refresh_merged();
-        net
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> SimConfig {
-        self.cfg
-    }
-
-    /// The topology being simulated.
-    #[must_use]
-    pub fn topology(&self) -> Topology {
-        self.cfg.topology
-    }
-
-    /// The flow table in use.
-    #[must_use]
-    pub fn flows(&self) -> &FlowTable {
-        &self.flows
-    }
-
-    /// Current cycle (cycles fully processed).
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Activity counters merged across shards (identical to the serial
-    /// engine's counters).
-    #[must_use]
-    pub fn counters(&self) -> &ActivityCounters {
-        &self.merged_counters
-    }
-
-    /// Latency statistics merged across shards.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.merged_stats
-    }
-
-    /// Only packets *generated* at or after `cycle` contribute to
-    /// latency statistics (warm-up exclusion).
-    pub fn set_stats_from(&mut self, cycle: u64) {
-        for sh in &mut self.shards {
-            sh.stats_from = cycle;
-        }
-    }
-
-    /// Zero the activity counters (e.g. at the end of warm-up).
-    pub fn reset_counters(&mut self) {
-        for sh in &mut self.shards {
-            sh.counters = ActivityCounters::new();
-            sh.link_flits.fill(0);
-            if let Some(t) = sh.telemetry.as_mut() {
-                t.seed_links(&sh.link_flits);
-            }
-        }
-        self.refresh_merged();
-    }
-
-    /// Start collecting windowed telemetry: one full-fabric-sized
-    /// collector per shard, all windowed from the current (common)
-    /// cycle. Probe events carry global indices and each event fires in
-    /// exactly one shard, so the merged series equals the serial
-    /// engine's bit-exactly. Replaces any collectors already attached.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        let n = self.cfg.topology.len();
-        let cycle = self.cycle;
-        for sh in &mut self.shards {
-            let mut collector = Box::new(MetricsCollector::attach(cfg, n, n * PORTS, cycle));
-            collector.seed_links(&sh.link_flits);
-            sh.telemetry = Some(collector);
-        }
-    }
-
-    /// Detach and merge the per-shard collectors, flushing trailing
-    /// partial windows. `None` if telemetry was never enabled.
-    pub fn take_telemetry(&mut self) -> Option<TelemetrySeries> {
-        let cycle = self.cycle;
-        let series: Vec<TelemetrySeries> = self
-            .shards
-            .iter_mut()
-            .filter_map(|sh| {
-                let collector = sh.telemetry.take()?;
-                Some(collector.finish(&CycleView {
-                    cycle,
-                    injected: sh.counters.packets_injected,
-                    delivered: sh.counters.packets_delivered,
-                    buffered: sh.bank.total_buffered(),
-                    link_flits: &sh.link_flits,
-                }))
-            })
-            .collect();
-        if series.is_empty() {
-            return None;
-        }
-        assert_eq!(
-            series.len(),
-            self.shards.len(),
-            "telemetry must be attached to every shard or none"
-        );
-        Some(TelemetrySeries::merge(&series))
-    }
-
-    /// Flits carried per link since the last counter reset, merged
-    /// across shards.
-    pub fn link_flit_counts(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
-        self.merged_links
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| {
-                (
-                    LinkId {
-                        from: NodeId((i / PORTS) as u16),
-                        dir: Direction::from_index(i % PORTS),
-                    },
-                    *n,
-                )
-            })
-    }
-
-    /// Queue a generated packet at its source NIC (in its owner shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet's flow is unknown or its src/dst disagree
-    /// with the flow's route.
-    pub fn offer(&mut self, packet: Packet) {
-        let s = self.owner[packet.src.0 as usize] as usize;
-        self.shards[s].offer_local(packet, &self.flows, self.cfg.topology);
-    }
-
-    /// Advance one cycle (a one-cycle threaded session; prefer
-    /// [`ShardedNetwork::run_with`] or [`ShardedNetwork::drain`], which
-    /// amortize the thread spawn over many cycles).
-    pub fn step(&mut self) {
-        self.run_session(None, Goal::Fixed(1));
-    }
-
-    /// Run `cycles` cycles, pulling packets from `traffic` each cycle.
-    /// Traffic generation stays on the coordinator thread, so one RNG
-    /// stream is consumed in exactly the serial order.
-    pub fn run_with(&mut self, traffic: &mut dyn TrafficSource, cycles: u64) {
-        self.run_session(Some(traffic), Goal::Fixed(cycles));
-    }
-
-    /// `true` when no packet is queued, buffered, or in flight anywhere.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.shards.iter().all(Shard::is_quiescent)
-    }
-
-    /// Step until quiescent, up to `max_cycles`. Returns `true` if the
-    /// network drained. Cycle-for-cycle identical to the serial drain.
-    pub fn drain(&mut self, max_cycles: u64) -> bool {
-        if self.is_quiescent() {
-            return true;
-        }
-        self.run_session(None, Goal::Drain(max_cycles))
-    }
-
-    /// Injection backlog across all NICs.
-    #[must_use]
-    pub fn total_backlog(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| sh.nics.iter().map(Nic::backlog).sum::<usize>())
-            .sum()
-    }
-
-    /// The threaded session driving every mode: spawn one worker per
-    /// shard, run cycles under a 3-barrier protocol, join, refresh the
-    /// merged read models. Returns the final quiescence verdict (only
-    /// meaningful for [`Goal::Drain`]).
-    ///
-    /// Per cycle: the coordinator preps guard planes and fills the
-    /// offer boxes, then barrier **A** releases the workers to step;
-    /// barrier **B** (all outboxes complete) releases the boundary
-    /// exchange, applied in ascending source-shard order; each worker
-    /// publishes its quiescence flag and barrier **C** hands control
-    /// back to the coordinator.
-    fn run_session(&mut self, mut traffic: Option<&mut dyn TrafficSource>, goal: Goal) -> bool {
-        let k = self.shards.len();
-        let start_cycle = self.cycle;
-        if matches!(goal, Goal::Fixed(0)) {
-            return self.is_quiescent();
-        }
-
-        let panicked = AtomicBool::new(false);
-        let stop = AtomicBool::new(false);
-        let quiet: Vec<AtomicBool> = (0..k).map(|_| AtomicBool::new(false)).collect();
-        let barrier = CycleBarrier::new(k + 1, &panicked);
-
-        // Plane bookkeeping needs `&mut self.plane_cycle` while workers
-        // borrow the rest, so run the plane prep eagerly per cycle here
-        // in the coordinator (exclusive access between barriers C and A).
-        let mut ran: u64 = 0;
-        let mut all_quiet = false;
-
-        {
-            let ctx = SharedCtx {
-                lut: &self.lut,
-                flows: &self.flows,
-                topo: self.cfg.topology,
-                owner: &self.owner,
-                planes: &self.planes,
-                outbox: &self.outbox,
-                offer_box: &self.offer_box,
-                k,
-            };
-            let shards = &mut self.shards;
-            let plane_cycle = &mut self.plane_cycle;
-            let planes = &self.planes;
-            std::thread::scope(|scope| {
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    let (ctx, barrier, stop, quiet) = (&ctx, &barrier, &stop, &quiet);
-                    let sentinel_flag = &panicked;
-                    scope.spawn(move || {
-                        let _sentinel = PanicSentinel(sentinel_flag);
-                        let mut c = start_cycle;
-                        loop {
-                            if !barrier.wait() {
-                                return;
-                            }
-                            if stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            let mut offers =
-                                std::mem::take(&mut *lock_free_of_poison(&ctx.offer_box[i]));
-                            for p in offers.drain(..) {
-                                shard.offer_local(p, ctx.flows, ctx.topo);
-                            }
-                            *lock_free_of_poison(&ctx.offer_box[i]) = offers;
-                            shard.step(c, i, ctx);
-                            if !barrier.wait() {
-                                return;
-                            }
-                            for s in 0..ctx.k {
-                                let mut evs = std::mem::take(&mut *lock_free_of_poison(
-                                    &ctx.outbox[s * ctx.k + i],
-                                ));
-                                shard.transfer_in(&mut evs);
-                                *lock_free_of_poison(&ctx.outbox[s * ctx.k + i]) = evs;
-                            }
-                            quiet[i].store(shard.is_quiescent(), Ordering::SeqCst);
-                            if !barrier.wait() {
-                                return;
-                            }
-                            c += 1;
-                        }
-                    });
-                }
-
-                // Coordinator.
-                let _sentinel = PanicSentinel(&panicked);
-                let mut c = start_cycle;
-                loop {
-                    let should_stop = match goal {
-                        Goal::Fixed(n) => ran == n,
-                        Goal::Drain(max) => all_quiet || ran == max,
-                    };
-                    if should_stop {
-                        stop.store(true, Ordering::SeqCst);
-                    } else {
-                        for cyc in [c, c + 1] {
-                            let p = (cyc & 1) as usize;
-                            if plane_cycle[p] != cyc {
-                                for w in &planes[p] {
-                                    w.store(0, Ordering::SeqCst);
-                                }
-                                plane_cycle[p] = cyc;
-                            }
-                        }
-                        if let Some(t) = traffic.as_deref_mut() {
-                            for p in t.generate(c) {
-                                let s = ctx.owner[p.src.0 as usize] as usize;
-                                lock_free_of_poison(&ctx.offer_box[s]).push(p);
-                            }
-                        }
-                    }
-                    if !barrier.wait() || should_stop {
-                        break;
-                    }
-                    if !barrier.wait() {
-                        break;
-                    }
-                    if !barrier.wait() {
-                        break;
-                    }
-                    all_quiet = quiet.iter().all(|q| q.load(Ordering::SeqCst));
-                    c += 1;
-                    ran += 1;
-                }
-            });
-        }
-
-        self.cycle = start_cycle + ran;
-        self.refresh_merged();
-        match goal {
-            Goal::Fixed(_) => self.is_quiescent(),
-            Goal::Drain(_) => all_quiet,
-        }
-    }
-
-    /// Rebuild the merged counter/stat/link read models from the shards.
-    fn refresh_merged(&mut self) {
-        let mut c = ActivityCounters::new();
-        for sh in &self.shards {
-            c.merge(&sh.counters);
-        }
-        // Every shard advances in lockstep; merged cycles are the common
-        // cycle count, not the k-fold sum.
-        c.cycles = self.shards[0].counters.cycles;
-        self.merged_counters = c;
-
-        let mut st = SimStats::new();
-        for sh in &self.shards {
-            st.merge(&sh.stats);
-        }
-        self.merged_stats = st;
-
-        self.merged_links.fill(0);
-        for sh in &self.shards {
-            for (i, n) in sh.link_flits.iter().enumerate() {
-                self.merged_links[i] += n;
-            }
-        }
-    }
-}
-
-/// The cycle engine behind every design: the serial [`Network`] or a
-/// [`ShardedNetwork`], selected by a [`ShardPlan`] at build time. The
-/// API mirrors [`Network`] exactly, so drivers are implementation-
-/// agnostic; results are bit-identical either way.
-//
-// One engine exists per run and lives on the driver's stack — never in
-// collections — so the serial/sharded size gap buys nothing from boxing
-// and would cost a deref on every hot-path dispatch.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Engine {
-    /// The single-threaded engine.
-    Serial(Network),
-    /// The row-band threaded engine.
-    Sharded(ShardedNetwork),
-}
-
-impl Engine {
-    /// Build an engine for `flows` under `cfg`, serial or sharded per
-    /// `plan` (after clamping to the fabric height).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or the flow plans are inconsistent.
-    #[must_use]
-    pub fn new(cfg: SimConfig, flows: FlowTable, plan: ShardPlan) -> Self {
-        let k = plan.effective_shards(cfg.topology);
-        if k <= 1 {
-            Engine::Serial(Network::new(cfg, flows))
-        } else {
-            Engine::Sharded(ShardedNetwork::new(cfg, flows, k))
-        }
-    }
-
-    /// A serial engine (shorthand for a [`ShardPlan::serial`] plan).
-    #[must_use]
-    pub fn serial(cfg: SimConfig, flows: FlowTable) -> Self {
-        Engine::Serial(Network::new(cfg, flows))
-    }
-
-    /// Number of shards (1 for the serial engine).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        match self {
-            Engine::Serial(_) => 1,
-            Engine::Sharded(s) => s.shards(),
-        }
-    }
-
-    /// Record micro-architectural events for journey logs, VCD dumps
-    /// and counter cross-validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] on a sharded engine — tracing captures a
-    /// single global event order, which concurrent shards cannot
-    /// produce. Rebuild with `shards = 1` to trace, or use windowed
-    /// telemetry ([`Engine::set_telemetry`]), which works on both
-    /// engines.
-    pub fn enable_tracing(&mut self, capacity: usize) -> Result<(), TraceError> {
-        match self {
-            Engine::Serial(n) => {
-                n.enable_tracing(capacity);
-                Ok(())
-            }
-            Engine::Sharded(s) => Err(TraceError { shards: s.shards() }),
-        }
-    }
-
-    /// Start collecting windowed telemetry (see [`crate::telemetry`]).
-    /// Works on both engines; the sharded engine's merged series equals
-    /// the serial engine's bit-exactly.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        match self {
-            Engine::Serial(n) => n.set_telemetry(cfg),
-            Engine::Sharded(s) => s.set_telemetry(cfg),
-        }
-    }
-
-    /// Detach the telemetry collector(s), flushing the trailing partial
-    /// window. `None` if telemetry was never enabled.
-    pub fn take_telemetry(&mut self) -> Option<TelemetrySeries> {
-        match self {
-            Engine::Serial(n) => n.take_telemetry(),
-            Engine::Sharded(s) => s.take_telemetry(),
-        }
-    }
-
-    /// The tracer, if tracing is enabled (always `None` when sharded).
-    #[must_use]
-    pub fn tracer(&self) -> Option<&Tracer> {
-        match self {
-            Engine::Serial(n) => n.tracer(),
-            Engine::Sharded(_) => None,
-        }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> SimConfig {
-        match self {
-            Engine::Serial(n) => n.config(),
-            Engine::Sharded(s) => s.config(),
-        }
-    }
-
-    /// The topology being simulated.
-    #[must_use]
-    pub fn topology(&self) -> Topology {
-        match self {
-            Engine::Serial(n) => n.topology(),
-            Engine::Sharded(s) => s.topology(),
-        }
-    }
-
-    /// The flow table in use.
-    #[must_use]
-    pub fn flows(&self) -> &FlowTable {
-        match self {
-            Engine::Serial(n) => n.flows(),
-            Engine::Sharded(s) => s.flows(),
-        }
-    }
-
-    /// Current cycle (cycles fully processed).
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        match self {
-            Engine::Serial(n) => n.cycle(),
-            Engine::Sharded(s) => s.cycle(),
-        }
-    }
-
-    /// Activity counters accumulated since the last reset.
-    #[must_use]
-    pub fn counters(&self) -> &ActivityCounters {
-        match self {
-            Engine::Serial(n) => n.counters(),
-            Engine::Sharded(s) => s.counters(),
-        }
-    }
-
-    /// Latency statistics.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        match self {
-            Engine::Serial(n) => n.stats(),
-            Engine::Sharded(s) => s.stats(),
-        }
-    }
-
-    /// Only packets *generated* at or after `cycle` contribute to
-    /// latency statistics (warm-up exclusion).
-    pub fn set_stats_from(&mut self, cycle: u64) {
-        match self {
-            Engine::Serial(n) => n.set_stats_from(cycle),
-            Engine::Sharded(s) => s.set_stats_from(cycle),
-        }
-    }
-
-    /// Zero the activity counters (e.g. at the end of warm-up).
-    pub fn reset_counters(&mut self) {
-        match self {
-            Engine::Serial(n) => n.reset_counters(),
-            Engine::Sharded(s) => s.reset_counters(),
-        }
-    }
-
-    /// Flits carried per link since the last counter reset.
-    #[must_use]
-    pub fn link_flit_counts(&self) -> Box<dyn Iterator<Item = (LinkId, u64)> + '_> {
-        match self {
-            Engine::Serial(n) => Box::new(n.link_flit_counts()),
-            Engine::Sharded(s) => Box::new(s.link_flit_counts()),
-        }
-    }
-
-    /// Queue a generated packet at its source NIC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet's flow is unknown or its src/dst disagree
-    /// with the flow's route.
-    pub fn offer(&mut self, packet: Packet) {
-        match self {
-            Engine::Serial(n) => n.offer(packet),
-            Engine::Sharded(s) => s.offer(packet),
-        }
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) {
-        match self {
-            Engine::Serial(n) => n.step(),
-            Engine::Sharded(s) => s.step(),
-        }
-    }
-
-    /// Run `cycles` cycles, pulling packets from `traffic` each cycle.
-    pub fn run_with(&mut self, traffic: &mut dyn TrafficSource, cycles: u64) {
-        match self {
-            Engine::Serial(n) => n.run_with(traffic, cycles),
-            Engine::Sharded(s) => s.run_with(traffic, cycles),
-        }
-    }
-
-    /// `true` when no packet is queued, buffered, or in flight anywhere.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        match self {
-            Engine::Serial(n) => n.is_quiescent(),
-            Engine::Sharded(s) => s.is_quiescent(),
-        }
-    }
-
-    /// Step until quiescent, up to `max_cycles`; `true` if the network
-    /// drained.
-    pub fn drain(&mut self, max_cycles: u64) -> bool {
-        match self {
-            Engine::Serial(n) => n.drain(max_cycles),
-            Engine::Sharded(s) => s.drain(max_cycles),
-        }
-    }
-
-    /// Injection backlog across all NICs.
-    #[must_use]
-    pub fn total_backlog(&self) -> usize {
-        match self {
-            Engine::Serial(n) => n.total_backlog(),
-            Engine::Sharded(s) => s.total_backlog(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::flit::FlowId;
-    use crate::route::SourceRoute;
-    use crate::traffic::BernoulliTraffic;
-
-    fn crossing_flows(h: u16) -> (SimConfig, FlowTable, Vec<(FlowId, f64)>) {
-        let cfg = SimConfig {
-            topology: crate::topology::Mesh::new(h, h).into(),
-            ..SimConfig::paper_4x4()
-        };
-        // Column flows crossing every band boundary plus row flows
-        // staying inside bands.
-        let mut routes = Vec::new();
-        let mut rates = Vec::new();
-        let mut id = 0;
-        for x in 0..h {
-            let (a, b) = (NodeId(x), NodeId((h - 1) * h + x));
-            routes.push((FlowId(id), SourceRoute::xy(cfg.topology, a, b).unwrap()));
-            rates.push((FlowId(id), 0.02));
-            id += 1;
-            let (a, b) = (NodeId(x * h), NodeId(x * h + h - 1));
-            routes.push((FlowId(id), SourceRoute::xy(cfg.topology, a, b).unwrap()));
-            rates.push((FlowId(id), 0.02));
-            id += 1;
-        }
-        let flows = FlowTable::mesh_baseline(cfg.topology, &routes);
-        (cfg, flows, rates)
-    }
-
-    fn run(engine: &mut Engine, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64) {
-        let mut traffic = BernoulliTraffic::new(
-            rates,
-            engine.flows(),
-            cfg.topology,
-            cfg.flits_per_packet,
-            seed,
-        );
-        engine.run_with(&mut traffic, 500);
-        assert!(engine.drain(20_000), "network failed to drain");
-    }
-
-    #[test]
-    fn sharded_matches_serial_smoke() {
-        let (cfg, flows, rates) = crossing_flows(8);
-        let mut serial = Engine::serial(cfg, flows.clone());
-        run(&mut serial, cfg, &rates, 0xBEEF);
-        for k in [2usize, 4] {
-            let mut sharded = Engine::new(cfg, flows.clone(), ShardPlan::banded(k));
-            assert_eq!(sharded.shards(), k);
-            run(&mut sharded, cfg, &rates, 0xBEEF);
-            assert_eq!(serial.cycle(), sharded.cycle(), "k={k}");
-            assert_eq!(serial.counters(), sharded.counters(), "k={k}");
-            assert_eq!(serial.stats(), sharded.stats(), "k={k}");
-            let a: Vec<_> = serial.link_flit_counts().collect();
-            let b: Vec<_> = sharded.link_flit_counts().collect();
-            assert_eq!(a, b, "k={k}");
-        }
-    }
-
-    #[test]
-    fn plan_clamps_to_height() {
-        let plan = ShardPlan::banded(64);
-        let topo: Topology = crate::topology::Mesh::new(4, 4).into();
-        assert_eq!(plan.effective_shards(topo), 4);
-        assert_eq!(ShardPlan::serial().effective_shards(topo), 1);
-        assert_eq!(ShardPlan::default(), ShardPlan::serial());
-    }
-
-    #[test]
-    fn sharded_engine_refuses_tracing_with_typed_error() {
-        let (cfg, flows, _) = crossing_flows(4);
-        let mut e = Engine::new(cfg, flows.clone(), ShardPlan::banded(2));
-        let err = e.enable_tracing(16).expect_err("sharded engines refuse");
-        assert_eq!(err, TraceError { shards: 2 });
-        let msg = err.to_string();
-        assert!(msg.contains("tracing requires the serial engine"), "{msg}");
-        assert!(msg.contains("2 row-band shards"), "{msg}");
-        assert!(msg.contains("shards = 1"), "{msg}");
-        assert!(e.tracer().is_none());
-        // The serial engine still accepts.
-        let mut serial = Engine::serial(cfg, flows);
-        serial.enable_tracing(16).expect("serial engine traces");
-        assert!(serial.tracer().is_some());
-    }
 }

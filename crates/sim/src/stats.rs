@@ -106,7 +106,7 @@ impl SimStats {
 
     /// Fold another statistics object into this one. Sums and packet
     /// counts add, extrema combine, histogram buckets add — so merging
-    /// per-shard statistics yields exactly what a single serial run
+    /// per-band statistics yields exactly what a single-band run
     /// would have recorded (all accumulators are order-independent).
     pub fn merge(&mut self, other: &SimStats) {
         for (flow, theirs) in &other.flows {

@@ -10,35 +10,7 @@
 
 use crate::flit::{FlowId, PacketId};
 use crate::topology::{Direction, NodeId, Topology};
-use std::fmt;
 use std::fmt::Write as _;
-
-/// Why tracing could not be enabled on an engine.
-///
-/// Flit tracing records a single global event order, which the
-/// row-band-sharded engine cannot produce (each shard appends its own
-/// events concurrently). Callers get this typed error instead of the
-/// former `panic!`, and can either fall back to a serial engine or
-/// surface the message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceError {
-    /// Number of row-band shards the refusing engine runs.
-    pub shards: usize,
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tracing requires the serial engine: this engine runs {} row-band shards \
-             and cannot record a single global event order; rebuild with shards = 1 \
-             (windowed telemetry works on both engines)",
-            self.shards
-        )
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// One traced event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,6 +105,15 @@ impl Tracer {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Append `other`'s records (past capacity they count as dropped)
+    /// and its drop count, leaving `other` empty.
+    pub(crate) fn absorb(&mut self, other: &mut Tracer) {
+        for rec in other.records.drain(..) {
+            self.record(rec);
+        }
+        self.dropped += std::mem::take(&mut other.dropped);
     }
 
     /// Re-aggregate activity counts from the trace (the event-driven

@@ -29,7 +29,7 @@ fn vc_backpressure_stalls_and_recovers() {
     let cfg = SimConfig::paper_4x4();
     let route = SourceRoute::xy(cfg.topology, NodeId(0), NodeId(3)).unwrap();
     let flows = FlowTable::mesh_baseline(cfg.topology, &[(FlowId(0), route)]);
-    let mut net = Network::new(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     for i in 0..6 {
         net.offer(packet(i, 0, 0, 3, 0));
     }
@@ -66,7 +66,7 @@ fn round_robin_shares_a_merging_output_fairly() {
         ),
     ];
     let flows = FlowTable::mesh_baseline(mesh, &routes);
-    let mut net = Network::new(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     let rates = vec![(FlowId(0), 0.04), (FlowId(1), 0.04)];
     let mut traffic = BernoulliTraffic::new(&rates, net.flows(), mesh, cfg.flits_per_packet, 23);
     net.run_with(&mut traffic, 40_000);
@@ -88,7 +88,7 @@ fn transpose_pattern_conserves_packets_on_the_baseline() {
         .map(|(i, (s, d))| (FlowId(i as u32), SourceRoute::xy(mesh, *s, *d).unwrap()))
         .collect();
     let flows = FlowTable::mesh_baseline(mesh, &routes);
-    let mut net = Network::new(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.01)).collect();
     let mut traffic = BernoulliTraffic::new(&rates, net.flows(), mesh, cfg.flits_per_packet, 99);
     net.run_with(&mut traffic, 20_000);
@@ -116,7 +116,7 @@ fn hotspot_saturates_gracefully_not_fatally() {
         .map(|(i, (s, d))| (FlowId(i as u32), SourceRoute::xy(mesh, *s, *d).unwrap()))
         .collect();
     let flows = FlowTable::mesh_baseline(mesh, &routes);
-    let mut net = Network::new(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     // 15 flows × 0.02 packets/cycle × 8 flits = 2.4 flits/cycle toward
     // a sink that ejects 1 flit/cycle: heavily oversubscribed.
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.02)).collect();
@@ -147,7 +147,7 @@ fn single_flit_packets_work() {
         SourceRoute::xy(mesh, NodeId(2), NodeId(13)).unwrap(),
     )];
     let flows = FlowTable::mesh_baseline(mesh, &routes);
-    let mut net = Network::new(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     let mut traffic = ScriptedTraffic::new(
         (0..10).map(|i| (i * 3, FlowId(0))).collect(),
         1,
@@ -172,7 +172,7 @@ fn deep_mesh_16x16_zero_load_formula_still_holds() {
     // Corner to corner: 30 hops.
     let route = SourceRoute::xy(mesh, NodeId(0), NodeId(255)).unwrap();
     let flows = FlowTable::mesh_baseline(mesh, &[(FlowId(0), route)]);
-    let mut net = Network::new(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     net.offer(packet(0, 0, 0, 255, 0));
     assert!(net.drain(1_000));
     assert_eq!(

@@ -65,7 +65,7 @@ fn assert_engines_agree(rate: f64, seed: u64, cycles: u64) {
     let mut src_new = BernoulliTraffic::new(&rates, &flows_new, mesh, cfg.flits_per_packet, seed);
     let mut src_old = BernoulliTraffic::new(&rates, &flows_old, mesh, cfg.flits_per_packet, seed);
 
-    let mut live = Network::new(cfg, flows_new);
+    let mut live = Network::new(cfg, flows_new, 1);
     let legacy_cfg = network::SimConfig {
         mesh: mesh.as_mesh().expect("paper config is a mesh"),
         vcs_per_port: cfg.vcs_per_port,

@@ -1,21 +1,21 @@
-//! Equivalence net for the sharded cycle engine: a row-band sharded run
-//! must be *bit-identical* to the serial engine — same drain cycle,
-//! same per-flow latency statistics, same activity counters (including
-//! the float link-millimeter accumulators), same per-link flit counts —
-//! at every shard count, on the mesh and on the torus (whose wrap links
-//! carry flits across the outermost band boundary in one hop), from
-//! light load to deep saturation.
+//! Equivalence net for the row-band engine: a run split into k > 1
+//! bands must be *bit-identical* to the single-band (k=1) run — same
+//! drain cycle, same per-flow latency statistics, same activity counters
+//! (including the float link-millimeter accumulators), same per-link
+//! flit counts, same flit trace — at every shard count, on the mesh and
+//! on the torus (whose wrap links carry flits across the outermost band
+//! boundary in one hop), from light load to deep saturation.
 //!
-//! The serial engine is the reference: it predates sharding and is
-//! itself locked against the pre-refactor engine by
-//! `legacy_equivalence.rs`, so this net transitively anchors the
-//! sharded engine to the original semantics.
+//! k=1 is the reference. It runs the same step function as k > 1, so it
+//! is anchored independently: `legacy_equivalence.rs` locks it to the
+//! pre-refactor engine on the 4×4 mesh, and the pinned torus case at
+//! the end of this file locks it to literal values.
 
 use proptest::prelude::*;
 use smart_sim::route::SourceRoute;
 use smart_sim::topology::{LinkId, Mesh, Topology, Torus};
 use smart_sim::{
-    ActivityCounters, BernoulliTraffic, Engine, FlowId, FlowTable, ShardPlan, SimConfig,
+    ActivityCounters, BernoulliTraffic, FlowId, FlowTable, Network, SimConfig, Tracer,
 };
 use std::collections::HashMap;
 
@@ -39,7 +39,7 @@ fn transpose_workload(topo: Topology, rate: f64) -> (FlowTable, Vec<(FlowId, f64
 }
 
 /// Run one engine over a fresh, identically seeded Bernoulli stream.
-fn run(engine: &mut Engine, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
+fn run(engine: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
     let mut traffic = BernoulliTraffic::new(
         rates,
         engine.flows(),
@@ -51,7 +51,7 @@ fn run(engine: &mut Engine, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, 
     assert!(engine.drain(100_000), "engine failed to drain");
 }
 
-/// Drive the serial engine and the sharded engine at every shard count
+/// Drive the k=1 engine and the sharded engine at every shard count
 /// in {2, 4, 8} over the same traffic, then assert every externally
 /// observable quantity matches bit-for-bit.
 fn assert_shards_agree(topo: Topology, rate: f64, seed: u64, cycles: u64) {
@@ -61,12 +61,12 @@ fn assert_shards_agree(topo: Topology, rate: f64, seed: u64, cycles: u64) {
     };
     let (flows, rates) = transpose_workload(topo, rate);
 
-    let mut serial = Engine::serial(cfg, flows.clone());
+    let mut serial = Network::new(cfg, flows.clone(), 1);
     run(&mut serial, cfg, &rates, seed, cycles);
     let serial_links: HashMap<LinkId, u64> = serial.link_flit_counts().collect();
 
     for k in [2usize, 4, 8] {
-        let mut sharded = Engine::new(cfg, flows.clone(), ShardPlan::banded(k));
+        let mut sharded = Network::new(cfg, flows.clone(), k);
         assert_eq!(sharded.shards(), k.min(usize::from(topo.height())));
         run(&mut sharded, cfg, &rates, seed, cycles);
 
@@ -84,7 +84,7 @@ fn assert_shards_agree(topo: Topology, rate: f64, seed: u64, cycles: u64) {
 }
 
 proptest! {
-    // Each case is four full simulations (serial + three shard counts);
+    // Each case is four full simulations (k=1 + three shard counts);
     // keep the case count low but the coverage wide: rates span light
     // load to ~3x the transpose saturation point.
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -139,6 +139,49 @@ fn deep_saturation_anchor_torus() {
 #[test]
 fn uneven_bands_agree() {
     assert_shards_agree(Mesh::new(6, 6).into(), 0.08, 0xBADBA2D, 1_000);
+}
+
+/// Every event of a traced run, as a sorted multiset.
+fn record_multiset(t: &Tracer) -> Vec<String> {
+    let mut recs: Vec<String> = t.records().iter().map(|r| format!("{r:?}")).collect();
+    recs.sort();
+    recs
+}
+
+/// Tracing works at every shard count: with capacity to spare, the
+/// k=2 and k=4 traces hold exactly the k=1 events (each band records the
+/// events it executes), so replayed counts and the VCD dump agree, and
+/// the merged record order is deterministic run to run.
+#[test]
+fn sharded_tracing_matches_k1() {
+    let topo: Topology = Mesh::new(8, 8).into();
+    let cfg = SimConfig {
+        topology: topo,
+        ..SimConfig::paper_4x4()
+    };
+    let (flows, rates) = transpose_workload(topo, 0.08);
+    let traced = |k: usize| {
+        let mut net = Network::new(cfg, flows.clone(), k);
+        net.enable_tracing(1 << 22);
+        run(&mut net, cfg, &rates, 0x7ACE, 1_000);
+        net.tracer().expect("tracing enabled").clone()
+    };
+
+    let reference = traced(1);
+    assert_eq!(reference.dropped(), 0, "capacity must suffice");
+    let total = |t: &Tracer| t.records().len() as u64 + t.dropped();
+    for k in [2usize, 4] {
+        let t = traced(k);
+        assert_eq!(t.replay_counts(), reference.replay_counts(), "k={k}");
+        assert_eq!(
+            t.to_vcd(topo, "bands"),
+            reference.to_vcd(topo, "bands"),
+            "k={k}: VCD"
+        );
+        assert_eq!(record_multiset(&t), record_multiset(&reference), "k={k}");
+        assert_eq!(total(&t), total(&reference), "k={k}: records + dropped");
+    }
+    assert_eq!(traced(4).records(), traced(4).records(), "k=4 record order");
 }
 
 /// Per-flow statistics of the pinned run, one row per flow:
@@ -236,7 +279,7 @@ fn k1_torus_deep_saturation_is_pinned() {
         ..SimConfig::paper_4x4()
     };
     let (flows, rates) = transpose_workload(topo, 0.3);
-    let mut net = Engine::serial(cfg, flows);
+    let mut net = Network::new(cfg, flows, 1);
     run(&mut net, cfg, &rates, 0x5EA1, 2_000);
 
     assert_eq!(net.cycle(), 19_864, "drain cycle");

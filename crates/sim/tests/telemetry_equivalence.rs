@@ -1,7 +1,7 @@
 //! Equivalence net for the telemetry layer: attaching a probe must
 //! never perturb the simulation (telemetry-on and telemetry-off runs
 //! are bit-identical in every externally observable quantity), and the
-//! merged per-shard series must equal the serial engine's series
+//! merged per-shard series must equal the k=1 engine's series
 //! byte-for-byte — on the mesh and on the torus, whose wrap links carry
 //! probe events across the outermost band boundary. The wire format is
 //! closed under round-trip for arbitrary series, not just simulated
@@ -12,8 +12,8 @@ use smart_sim::route::SourceRoute;
 use smart_sim::telemetry::BYPASS_BUCKETS;
 use smart_sim::topology::{LinkId, Mesh, Topology, Torus};
 use smart_sim::{
-    BernoulliTraffic, Engine, FlowId, FlowTable, MetricsWindow, ShardPlan, SimConfig,
-    TelemetryConfig, TelemetrySeries,
+    BernoulliTraffic, FlowId, FlowTable, MetricsWindow, Network, SimConfig, TelemetryConfig,
+    TelemetrySeries,
 };
 use std::collections::HashMap;
 
@@ -34,7 +34,7 @@ fn transpose_workload(topo: Topology, rate: f64) -> (FlowTable, Vec<(FlowId, f64
     (FlowTable::mesh_baseline(topo, &routes), rates)
 }
 
-fn run(engine: &mut Engine, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
+fn run(engine: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
     let mut traffic = BernoulliTraffic::new(
         rates,
         engine.flows(),
@@ -56,10 +56,10 @@ fn assert_probe_is_invisible(topo: Topology, rate: f64, seed: u64, cycles: u64) 
     };
     let (flows, rates) = transpose_workload(topo, rate);
 
-    let mut plain = Engine::serial(cfg, flows.clone());
+    let mut plain = Network::new(cfg, flows.clone(), 1);
     run(&mut plain, cfg, &rates, seed, cycles);
 
-    let mut probed = Engine::serial(cfg, flows);
+    let mut probed = Network::new(cfg, flows, 1);
     probed.set_telemetry(TelemetryConfig::windowed(64));
     run(&mut probed, cfg, &rates, seed, cycles);
 
@@ -80,7 +80,7 @@ fn assert_probe_is_invisible(topo: Topology, rate: f64, seed: u64, cycles: u64) 
 }
 
 /// The merged per-shard series must serialize byte-identically to the
-/// serial engine's series at every shard count.
+/// k=1 engine's series at every shard count.
 fn assert_sharded_series_match(topo: Topology, rate: f64, seed: u64, cycles: u64, window: u64) {
     let cfg = SimConfig {
         topology: topo,
@@ -88,7 +88,7 @@ fn assert_sharded_series_match(topo: Topology, rate: f64, seed: u64, cycles: u64
     };
     let (flows, rates) = transpose_workload(topo, rate);
 
-    let mut serial = Engine::serial(cfg, flows.clone());
+    let mut serial = Network::new(cfg, flows.clone(), 1);
     serial.set_telemetry(TelemetryConfig::windowed(window));
     run(&mut serial, cfg, &rates, seed, cycles);
     let reference = serial
@@ -97,7 +97,7 @@ fn assert_sharded_series_match(topo: Topology, rate: f64, seed: u64, cycles: u64
         .to_jsonl();
 
     for k in [2usize, 4, 8] {
-        let mut sharded = Engine::new(cfg, flows.clone(), ShardPlan::banded(k));
+        let mut sharded = Network::new(cfg, flows.clone(), k);
         sharded.set_telemetry(TelemetryConfig::windowed(window));
         run(&mut sharded, cfg, &rates, seed, cycles);
         let merged = sharded

@@ -13,9 +13,7 @@ fn replayed_trace_matches_live_counters() {
     let cfg = NocConfig::paper_4x4();
     let mapped = MappedApp::from_graph(&cfg, &apps::vopd());
     let mut noc = SmartNoc::new(&cfg, &mapped.routes);
-    noc.network_mut()
-        .enable_tracing(1_000_000)
-        .expect("serial engine traces");
+    noc.network_mut().enable_tracing(1_000_000);
     let mut traffic = BernoulliTraffic::new(
         &mapped.rates,
         noc.network().flows(),
@@ -46,9 +44,7 @@ fn vcd_dump_is_wellformed_for_real_traffic() {
     let cfg = NocConfig::paper_4x4();
     let mapped = MappedApp::from_graph(&cfg, &apps::pip());
     let mut noc = SmartNoc::new(&cfg, &mapped.routes);
-    noc.network_mut()
-        .enable_tracing(100_000)
-        .expect("serial engine traces");
+    noc.network_mut().enable_tracing(100_000);
     let mut traffic = BernoulliTraffic::new(
         &mapped.rates,
         noc.network().flows(),
