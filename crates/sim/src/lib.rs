@@ -14,6 +14,11 @@
 //! *stop routers*. The baseline mesh is the plan where every router
 //! stops; SMART plans bypass entire multi-hop stretches in one cycle.
 //!
+//! [`Network`] is the one cycle engine. Its last constructor argument
+//! splits the fabric into that many row bands: one band steps inline on
+//! the caller's thread, several step on scoped threads, and every count
+//! gives bit-identical results, traces and telemetry.
+//!
 //! ```
 //! use smart_sim::flit::{FlowId, Packet, PacketId};
 //! use smart_sim::forward::FlowTable;

@@ -60,7 +60,7 @@ use std::sync::Mutex;
 
 /// An event crossing a band boundary at the per-cycle exchange.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum BoundaryEvent {
+enum BoundaryEvent {
     /// A flit arriving at an endpoint owned by the receiving band.
     /// `meta` is the full packet metadata from the sending band's
     /// arena, re-interned (head) or matched (body/tail) on receipt;
